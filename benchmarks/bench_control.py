@@ -38,7 +38,8 @@ from _common import (
     last_comparable_run,
     load_trajectory,
 )
-from repro.fleet import ClusterConfig, FleetSpec, run_fleet_experiment
+from repro.api import run_cell
+from repro.fleet import ClusterConfig, FleetCell, FleetSpec
 from repro.sweep import SweepSession, WorkloadPoint
 from repro.units import MS
 
@@ -97,16 +98,13 @@ def grid_cells():
     return spec.cells()
 
 
-def _run_point(cluster: ClusterConfig, qps, duration_ns, warmup_ns, seed) -> dict:
-    from repro.scenarios import registry as scenarios
-
-    result = run_fleet_experiment(
-        scenarios.build("memcached-diurnal", qps, "low"),
-        cluster,
-        duration_ns=duration_ns,
-        warmup_ns=warmup_ns,
-        seed=seed,
-    )
+def _run_point(qps, duration_ns, warmup_ns, seed, **cluster) -> dict:
+    """One acceptance-fleet cell; ``cluster`` sets routing/control."""
+    result = run_cell(FleetCell(
+        workload="memcached-diurnal", qps=qps, preset="low",
+        machine="CPC1A", n_servers=N_SERVERS, seed=seed,
+        duration_ns=duration_ns, warmup_ns=warmup_ns, **cluster,
+    ))
     return {
         "fleet_power_w": round(result.total_power_w, 4),
         "energy_j": round(result.energy_j, 6),
@@ -135,19 +133,14 @@ def measure_controller_vs_static(
     statics = {}
     for routing in STATIC_ROUTINGS:
         statics[routing] = _run_point(
-            ClusterConfig(machine="CPC1A", n_servers=N_SERVERS, routing=routing),
-            qps, duration_ns, warmup_ns, seed,
+            qps, duration_ns, warmup_ns, seed, routing=routing
         )
     best_routing = min(statics, key=lambda name: statics[name]["energy_j"])
     controlled = {}
     for control in ("slo-pack", "sleepscale"):
         controlled[control] = _run_point(
-            ClusterConfig(
-                machine="CPC1A", n_servers=N_SERVERS,
-                routing="least-outstanding", control=control,
-                control_props=GATE_PROPS,
-            ),
-            qps, duration_ns, warmup_ns, seed,
+            qps, duration_ns, warmup_ns, seed, routing="least-outstanding",
+            control=control, control_props=GATE_PROPS,
         )
     best = statics[best_routing]["energy_j"]
     sleepscale = controlled["sleepscale"]["energy_j"]

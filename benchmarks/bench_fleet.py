@@ -40,7 +40,8 @@ from _common import (
     last_comparable_run,
     load_trajectory,
 )
-from repro.fleet import ClusterConfig, FleetSpec, run_fleet_experiment
+from repro.api import run_cell
+from repro.fleet import ClusterConfig, FleetCell, FleetSpec
 from repro.sweep import SweepSession, WorkloadPoint
 from repro.units import MS
 
@@ -114,9 +115,6 @@ def measure_huge_cell(n_servers: int = HUGE_N_SERVERS, qps: float = HUGE_QPS) ->
     """
     import time as _time
 
-    from repro.api import run_cell
-    from repro.fleet import FleetCell
-
     cell = FleetCell(
         workload="memcached-diurnal", qps=qps, preset="low",
         machine="CPC1A", n_servers=n_servers, routing="power-aware-pack",
@@ -151,17 +149,13 @@ def measure_pack_vs_round_robin(
     seed: int = 1,
 ) -> dict:
     """Fleet energy of round-robin vs power-aware-pack at one load."""
-    from repro.workloads.memcached import MemcachedWorkload
-
     out = {}
     for routing in ("round-robin", "power-aware-pack"):
-        result = run_fleet_experiment(
-            MemcachedWorkload(qps),
-            ClusterConfig(machine="CPC1A", n_servers=N_SERVERS, routing=routing),
-            duration_ns=duration_ns,
-            warmup_ns=warmup_ns,
-            seed=seed,
-        )
+        result = run_cell(FleetCell(
+            workload="memcached", qps=qps, preset="low", machine="CPC1A",
+            n_servers=N_SERVERS, routing=routing, seed=seed,
+            duration_ns=duration_ns, warmup_ns=warmup_ns,
+        ))
         out[routing] = {
             "fleet_power_w": round(result.total_power_w, 4),
             "energy_j": round(result.energy_j, 6),

@@ -52,8 +52,8 @@ from _common import (
     last_comparable_run,
     load_trajectory,
 )
+from repro.api import run_cell
 from repro.sweep import SweepSession, SweepSpec, WorkloadPoint
-from repro.sweep.runner import _run_cell_keyed, run_cell
 from repro.units import MS
 
 #: Bump when scenario/grid definitions change incompatibly, so
@@ -89,6 +89,11 @@ def grid_cells():
 
 
 # -- execution models --------------------------------------------------------
+def _run_cell_keyed(cell):
+    """Pool worker entry point: pair a fresh-machine result with its key."""
+    return cell.key(), run_cell(cell)
+
+
 def run_serial_legacy(cells) -> float:
     """Pre-session serial model: fresh machine per cell."""
     start = time.perf_counter()

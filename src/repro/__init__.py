@@ -13,8 +13,8 @@ Datacenter Servers* (MICRO 2022). The headline entry points:
 >>> apc.total_power_w < base.total_power_w
 True
 
-See DESIGN.md for the system inventory and EXPERIMENTS.md for the
-paper-vs-measured record of every table and figure.
+See PAPER.md for the paper's abstract and ``docs/`` for the sweep,
+fleet and control-plane guides.
 """
 
 from repro.core import (
@@ -49,10 +49,9 @@ from repro.soc import SKX_CONFIG, SocConfig
 from repro.sweep import (
     ExperimentSpec,
     ResultStore,
-    SweepRunner,
+    SweepSession,
     SweepSpec,
     WorkloadPoint,
-    run_sweep,
 )
 from repro.workloads import (
     KafkaWorkload,
@@ -61,7 +60,7 @@ from repro.workloads import (
     NullWorkload,
 )
 
-__version__ = "1.0.0"
+__version__ = "0.3.0"
 
 __all__ = [
     "__version__",
@@ -100,8 +99,7 @@ __all__ = [
     # sweeps
     "ExperimentSpec",
     "ResultStore",
-    "SweepRunner",
+    "SweepSession",
     "SweepSpec",
     "WorkloadPoint",
-    "run_sweep",
 ]

@@ -2,7 +2,7 @@
 
 Everything the benches print goes through these helpers so the
 paper-vs-measured output has one consistent format in bench logs and
-EXPERIMENTS.md.
+the saved ``results/`` reports.
 """
 
 from __future__ import annotations

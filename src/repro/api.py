@@ -9,14 +9,12 @@ cell kind. The lifecycle is always::
 
     build -> (warmup) -> begin_measurement -> run -> collect
 
-:func:`run_cell` drives that lifecycle for any cell;
-:func:`measure_window` is the shared warmup/measure flow both the
-cell path and the classic drivers
-(:func:`~repro.server.experiment.run_experiment`,
-:func:`~repro.fleet.experiment.run_fleet_experiment`) execute.
-
-The classic drivers remain supported as thin wrappers — ``run_cell``
-is the preferred entry point for anything that starts from a spec.
+:func:`run_cell` drives that lifecycle for any cell and is the one
+way to run a cell; :class:`~repro.sweep.session.SweepSession` is the
+one way to run a grid of them. :func:`measure_window` is the
+warmup/measure flow ``run_cell`` shares with the quick-start driver
+:func:`~repro.server.experiment.run_experiment`, which takes a
+prebuilt workload and machine config instead of a spec.
 
 Typical use::
 
@@ -33,7 +31,6 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any, Hashable, Protocol, runtime_checkable
 
-from repro.fleet.experiment import run_fleet_experiment
 from repro.fleet.result import FleetResult
 from repro.fleet.spec import FleetCell, FleetSpec
 from repro.server.experiment import ExperimentResult, run_experiment
@@ -57,7 +54,6 @@ __all__ = [
     "measure_window",
     "run_cell",
     "run_experiment",
-    "run_fleet_experiment",
 ]
 
 

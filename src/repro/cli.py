@@ -83,7 +83,7 @@ import sys
 import time
 from dataclasses import replace
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Sequence
 
 from repro import scenarios as scenario_registry
 from repro.analysis.report import PaperComparison, comparison_table, format_table
@@ -107,6 +107,7 @@ from repro.sweep import (
     ResultStore,
     RunJournal,
     StreamingCsvWriter,
+    SweepResults,
     SweepSession,
     SweepSpec,
     WorkloadPoint,
@@ -214,6 +215,69 @@ def _add_robustness_flags(parser: argparse.ArgumentParser) -> None:
         help="where to write the quarantine report when cells exhaust "
              "their retries (default: <out>.quarantine.json)",
     )
+
+
+def _add_grid_args(
+    parser: argparse.ArgumentParser, configs: str, out: str, fleet: bool = False
+) -> None:
+    """The grid, execution and output flags ``sweep`` and ``fleet`` share.
+
+    ``configs`` and ``out`` are the command's ``--configs``/``--out``
+    defaults; ``fleet`` admits fleet-scoped ``--set`` properties.
+    """
+    parser.add_argument(
+        "--workload", default="memcached", choices=list(workload_names())
+    )
+    parser.add_argument(
+        "--scenario", default=None, choices=list(workload_names()),
+        help="sweep a registered scenario on its default grid "
+             "(overrides --workload; see 'repro scenarios list')",
+    )
+    parser.add_argument(
+        "--configs", default=configs,
+        help="comma-separated config names (per server for fleets)",
+    )
+    parser.add_argument(
+        "--rates", default=None,
+        help="comma-separated offered rates (rate scenarios; 0 = idle; "
+             f"a fleet's rate is its total load; default {DEFAULT_RATES})",
+    )
+    parser.add_argument(
+        "--presets", default=None,
+        help="comma-separated presets (preset scenarios; "
+             f"default {DEFAULT_PRESETS})",
+    )
+    parser.add_argument(
+        "--trace", default=None,
+        help="trace file for --scenario replay (default: bundled example)",
+    )
+    parser.add_argument("--preset", default="low", help=argparse.SUPPRESS)
+    parser.add_argument(
+        "--seeds", default="1", help="comma-separated seeds; >1 adds CI"
+    )
+    parser.add_argument(
+        "--duration-ms", type=int, default=0,
+        help="window per cell (0 = size each window to its rate)",
+    )
+    parser.add_argument(
+        "--warmup-ms", type=int, default=None,
+        help="warmup per cell (default: derived from the window)",
+    )
+    parser.add_argument(
+        "--workers", type=int, default=0,
+        help="worker processes (0 = one per core, REPRO_SWEEP_WORKERS)",
+    )
+    parser.add_argument(
+        "--store", default=None, help="result-cache directory (optional)"
+    )
+    parser.add_argument("--out", default=out)
+    parser.add_argument(
+        "--stats-json", default=None,
+        help="write machine-readable run stats (cells, cache hits) here",
+    )
+    _add_set_flag(parser, fleet=fleet)
+    _add_progress_flag(parser)
+    _add_robustness_flags(parser)
 
 
 def _cell_policy(args: argparse.Namespace) -> CellPolicy:
@@ -471,13 +535,13 @@ def cmd_export(args: argparse.Namespace) -> int:
 
     The CSV carries everything needed to re-plot the paper's
     Memcached figures (6 and 7) with external tooling. The grid runs
-    through the sweep runner, so ``--workers`` parallelises it and
+    through a sweep session, so ``--workers`` parallelises it and
     ``--store`` makes re-runs of unchanged cells cache hits.
 
-    Cells are passed to the runner as an explicit list rather than a
+    Cells are passed to the session as an explicit list rather than a
     :class:`SweepSpec`: for preset-driven workloads every listed rate
     is the same physical experiment, which a spec rejects as a
-    duplicate — here the runner simulates it once and the CSV keeps
+    duplicate — here the session simulates it once and the CSV keeps
     the historical one-row-per-rate layout.
     """
     try:
@@ -731,6 +795,56 @@ def _write_stats_json(
     print(f"wrote run stats to {stats_path}")
 
 
+def _run_grid(
+    args: argparse.Namespace,
+    cells: list,
+    noun: str,
+    table: Callable[[SweepResults], str],
+    columns: tuple[str, ...] | None = None,
+    flatten=None,
+) -> int:
+    """Run a ``sweep``/``fleet`` grid and report it; returns the exit code.
+
+    Rows stream to ``--out`` as cells complete (in deterministic cell
+    order, so the CSV is byte-identical to a buffered write) instead
+    of holding the whole grid's results before the first row lands.
+    ``columns``/``flatten`` pick the CSV layout (default: the
+    single-machine one); ``table`` renders the printed summary.
+    """
+    workers = _resolve_workers(args.workers)
+    store = ResultStore(args.store) if args.store else None
+    journal = _open_journal(args, store)
+    try:
+        with SweepSession(workers=workers, policy=_cell_policy(args)) as session, \
+                StreamingCsvWriter(args.out, columns, flatten) as writer:
+            try:
+                results = session.run(
+                    cells,
+                    store=store,
+                    progress=_progress_for(args, len(cells)),
+                    on_result=lambda cell, result, cached: writer.write(
+                        result, spec=cell),
+                    journal=journal,
+                )
+            except KeyboardInterrupt:
+                return _interrupt_summary(args, writer, journal, len(cells), store)
+            count = writer.rows
+    finally:
+        if journal is not None:
+            journal.close()
+    print(
+        f"swept {len(cells)} {noun} on {workers} worker(s); "
+        f"{results.cache_hits} cache hit(s)"
+    )
+    print(f"wrote {count} rows to {args.out}")
+    if args.stats_json:
+        _write_stats_json(args, results, len(cells), workers, count,
+                          run_stats=session.last_run_stats)
+    exit_code = _handle_quarantined(args, results)
+    print(table(results))
+    return exit_code
+
+
 def cmd_sweep(args: argparse.Namespace) -> int:
     """Run a full scenario x config x rate x seed grid in parallel.
 
@@ -755,39 +869,11 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     except (KeyError, ValueError, OSError) as error:
         # OSError: a trace scenario naming a missing/unreadable file.
         raise SystemExit(f"invalid sweep grid: {error}") from None
-    workers = _resolve_workers(args.workers)
-    store = ResultStore(args.store) if args.store else None
-    journal = _open_journal(args, store)
-    # Stream rows as cells complete (in deterministic cell order, so
-    # the CSV is byte-identical to a buffered write) instead of
-    # holding the whole grid's results before the first row lands.
-    try:
-        with SweepSession(workers=workers, policy=_cell_policy(args)) as session, \
-                StreamingCsvWriter(args.out) as writer:
-            try:
-                results = session.run(
-                    spec,
-                    store=store,
-                    progress=_progress_for(args, len(spec)),
-                    on_result=lambda cell, result, cached: writer.write(
-                        result, spec=cell),
-                    journal=journal,
-                )
-            except KeyboardInterrupt:
-                return _interrupt_summary(args, writer, journal, len(spec), store)
-            count = writer.rows
-    finally:
-        if journal is not None:
-            journal.close()
-    print(
-        f"swept {len(spec)} cells on {workers} worker(s); "
-        f"{results.cache_hits} cache hit(s)"
-    )
-    print(f"wrote {count} rows to {args.out}")
-    if args.stats_json:
-        _write_stats_json(args, results, len(spec), workers, count,
-                          run_stats=session.last_run_stats)
-    exit_code = _handle_quarantined(args, results)
+    return _run_grid(args, spec.cells(), "cells", _sweep_table)
+
+
+def _sweep_table(results: SweepResults) -> str:
+    """Per-seed mean/CI summary, one row per grid cell."""
     rows = [
         [
             agg.config,
@@ -800,12 +886,11 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         ]
         for agg in results.aggregate()
     ]
-    print(format_table(
+    return format_table(
         ["config", "workload", "qps", "seeds",
          "power (W)", "mean lat (us)", "PC1A res"],
         rows,
-    ))
-    return exit_code
+    )
 
 
 def cmd_fleet(args: argparse.Namespace) -> int:
@@ -883,39 +968,14 @@ def cmd_fleet(args: argparse.Namespace) -> int:
         )
     except (KeyError, ValueError, OSError) as error:
         raise SystemExit(f"invalid fleet grid: {error}") from None
-    workers = _resolve_workers(args.workers)
-    store = ResultStore(args.store) if args.store else None
-    journal = _open_journal(args, store)
-    try:
-        with SweepSession(workers=workers, policy=_cell_policy(args)) as session, \
-                StreamingCsvWriter(
-                    args.out, columns=FLEET_CSV_COLUMNS,
-                    flatten=flatten_fleet_result
-                ) as writer:
-            try:
-                results = session.run(
-                    spec.cells(),
-                    store=store,
-                    progress=_progress_for(args, len(spec)),
-                    on_result=lambda cell, result, cached: writer.write(
-                        result, spec=cell),
-                    journal=journal,
-                )
-            except KeyboardInterrupt:
-                return _interrupt_summary(args, writer, journal, len(spec), store)
-            count = writer.rows
-    finally:
-        if journal is not None:
-            journal.close()
-    print(
-        f"swept {len(spec)} fleet cells on {workers} worker(s); "
-        f"{results.cache_hits} cache hit(s)"
+    return _run_grid(
+        args, spec.cells(), "fleet cells", _fleet_table,
+        columns=FLEET_CSV_COLUMNS, flatten=flatten_fleet_result,
     )
-    print(f"wrote {count} rows to {args.out}")
-    if args.stats_json:
-        _write_stats_json(args, results, len(spec), workers, count,
-                          run_stats=session.last_run_stats)
-    exit_code = _handle_quarantined(args, results)
+
+
+def _fleet_table(results: SweepResults) -> str:
+    """One row per fleet cell: power, tail latency, PC1A, active servers."""
     rows = [
         [
             result.config_name,
@@ -931,12 +991,11 @@ def cmd_fleet(args: argparse.Namespace) -> int:
         ]
         for result in results
     ]
-    print(format_table(
+    return format_table(
         ["config", "servers", "routing", "workload", "qps", "seed",
          "fleet power", "p99", "PC1A res", "active"],
         rows,
-    ))
-    return exit_code
+    )
 
 
 def cmd_control(args: argparse.Namespace) -> int:
@@ -1087,8 +1146,8 @@ def cmd_lint(args: argparse.Namespace) -> int:
     return 0 if report.ok else 1
 
 
-def main(argv: Sequence[str] | None = None) -> int:
-    """CLI entry point; returns a process exit code."""
+def build_parser() -> argparse.ArgumentParser:
+    """The ``repro`` argument parser with every subcommand."""
     parser = argparse.ArgumentParser(
         prog="repro", description="AgilePkgC (APC) reproduction toolkit"
     )
@@ -1140,74 +1199,16 @@ def main(argv: Sequence[str] | None = None) -> int:
     sweep_parser = sub.add_parser(
         "sweep", help="parallel scenario x config x rate x seed grid"
     )
-    sweep_parser.add_argument(
-        "--workload", default="memcached", choices=list(workload_names())
+    _add_grid_args(
+        sweep_parser, configs="Cshallow,CPC1A", out="results/sweep_grid.csv"
     )
-    sweep_parser.add_argument(
-        "--scenario", default=None, choices=list(workload_names()),
-        help="sweep a registered scenario on its default grid "
-             "(overrides --workload; see 'repro scenarios list')",
-    )
-    sweep_parser.add_argument(
-        "--configs", default="Cshallow,CPC1A",
-        help="comma-separated config names",
-    )
-    sweep_parser.add_argument(
-        "--rates", default=None,
-        help="comma-separated offered rates (rate scenarios; 0 = idle; "
-             f"default {DEFAULT_RATES})",
-    )
-    sweep_parser.add_argument(
-        "--presets",
-        default=None,
-        help="comma-separated presets (mysql/kafka; " f"default {DEFAULT_PRESETS})",
-    )
-    sweep_parser.add_argument(
-        "--trace", default=None,
-        help="trace file for --scenario replay (default: bundled example)",
-    )
-    sweep_parser.add_argument("--preset", default="low", help=argparse.SUPPRESS)
-    sweep_parser.add_argument(
-        "--seeds", default="1", help="comma-separated seeds; >1 adds CI"
-    )
-    sweep_parser.add_argument(
-        "--duration-ms", type=int, default=0,
-        help="window per cell (0 = size each window to its rate)",
-    )
-    sweep_parser.add_argument(
-        "--warmup-ms", type=int, default=None,
-        help="warmup per cell (default: derived from the window)",
-    )
-    sweep_parser.add_argument(
-        "--workers", type=int, default=0,
-        help="worker processes (0 = one per core, REPRO_SWEEP_WORKERS)",
-    )
-    sweep_parser.add_argument(
-        "--store", default=None, help="result-cache directory (optional)"
-    )
-    sweep_parser.add_argument("--out", default="results/sweep_grid.csv")
-    sweep_parser.add_argument(
-        "--stats-json", default=None,
-        help="write machine-readable run stats (cells, cache hits) here",
-    )
-    _add_set_flag(sweep_parser)
-    _add_progress_flag(sweep_parser)
-    _add_robustness_flags(sweep_parser)
     sweep_parser.set_defaults(fn=cmd_sweep)
 
     fleet_parser = sub.add_parser(
         "fleet", help="multi-server cluster sweep (routing x config x rate)"
     )
-    fleet_parser.add_argument(
-        "--workload", default="memcached", choices=list(workload_names())
-    )
-    fleet_parser.add_argument(
-        "--scenario", default=None, choices=list(workload_names()),
-        help="drive the fleet with a registered scenario's default grid",
-    )
-    fleet_parser.add_argument(
-        "--configs", default="CPC1A",
-        help="comma-separated per-server config names",
+    _add_grid_args(
+        fleet_parser, configs="CPC1A", out="results/fleet_grid.csv", fleet=True
     )
     fleet_parser.add_argument(
         "--servers", type=int, default=2,
@@ -1234,45 +1235,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         help="concurrent requests a server absorbs before "
              "power-aware-pack spills (0 = one per core)",
     )
-    fleet_parser.add_argument(
-        "--rates", default=None,
-        help="comma-separated offered rates for the whole fleet "
-             f"(rate scenarios; 0 = idle; default {DEFAULT_RATES})",
-    )
-    fleet_parser.add_argument(
-        "--presets", default=None,
-        help="comma-separated presets (preset scenarios; "
-             f"default {DEFAULT_PRESETS})",
-    )
-    fleet_parser.add_argument(
-        "--trace", default=None,
-        help="trace file for --scenario replay (default: bundled example)",
-    )
-    fleet_parser.add_argument("--preset", default="low", help=argparse.SUPPRESS)
-    fleet_parser.add_argument("--seeds", default="1", help="comma-separated seeds")
-    fleet_parser.add_argument(
-        "--duration-ms", type=int, default=0,
-        help="window per cell (0 = size each window to its rate)",
-    )
-    fleet_parser.add_argument(
-        "--warmup-ms", type=int, default=None,
-        help="warmup per cell (default: derived from the window)",
-    )
-    fleet_parser.add_argument(
-        "--workers", type=int, default=0,
-        help="worker processes (0 = one per core, REPRO_SWEEP_WORKERS)",
-    )
-    fleet_parser.add_argument(
-        "--store", default=None, help="result-cache directory (optional)"
-    )
-    fleet_parser.add_argument("--out", default="results/fleet_grid.csv")
-    fleet_parser.add_argument(
-        "--stats-json", default=None,
-        help="write machine-readable run stats (cells, cache hits) here",
-    )
-    _add_set_flag(fleet_parser, fleet=True)
-    _add_progress_flag(fleet_parser)
-    _add_robustness_flags(fleet_parser)
     fleet_parser.set_defaults(fn=cmd_fleet)
 
     props_parser = sub.add_parser(
@@ -1379,8 +1341,12 @@ def main(argv: Sequence[str] | None = None) -> int:
         help="print one rule's full documentation",
     )
     lint_parser.set_defaults(fn=cmd_lint)
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv: Sequence[str] | None = None) -> int:
+    """CLI entry point; returns a process exit code."""
+    args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
     except KeyboardInterrupt:

@@ -5,14 +5,12 @@ energy proportional; the payoff it promises is at datacenter scale,
 where routing policy decides how much package idleness a fleet can
 actually harvest. This package simulates that interaction directly:
 
->>> from repro.fleet import ClusterConfig, run_fleet_experiment
->>> from repro.workloads.memcached import MemcachedWorkload
->>> cluster = ClusterConfig(machine="CPC1A", n_servers=4,
-...                         routing="power-aware-pack")
->>> result = run_fleet_experiment(
-...     MemcachedWorkload(qps=30_000), cluster,
-...     duration_ns=10_000_000, warmup_ns=2_000_000, seed=1,
-... )  # doctest: +SKIP
+>>> from repro.api import FleetCell, run_cell
+>>> result = run_cell(FleetCell(
+...     workload="memcached", qps=30_000, preset="low", machine="CPC1A",
+...     n_servers=4, routing="power-aware-pack", seed=1,
+...     duration_ns=10_000_000, warmup_ns=2_000_000,
+... ))  # doctest: +SKIP
 
 - :class:`FleetMachine` composes N
   :class:`~repro.server.machine.ServerMachine`\\ s under one shared
@@ -41,7 +39,7 @@ from repro.fleet.cluster import (
     park_enabled,
     server_prefix,
 )
-from repro.fleet.experiment import collect_fleet_result, run_fleet_experiment
+from repro.fleet.experiment import collect_fleet_result
 from repro.fleet.result import (
     FLEET_CSV_COLUMNS,
     FleetResult,
@@ -76,6 +74,5 @@ __all__ = [
     "flatten_fleet_result",
     "fleet_power_curve",
     "park_enabled",
-    "run_fleet_experiment",
     "server_prefix",
 ]

@@ -1,61 +1,19 @@
-"""The fleet experiment driver: one workload across one cluster.
+"""Fleet result assembly: one measured cluster -> one FleetResult.
 
-``run_fleet_experiment`` mirrors
-:func:`~repro.server.experiment.run_experiment` one level up: build a
-:class:`~repro.fleet.cluster.FleetMachine`, let the scenario's single
-arrival stream warm the cluster through the balancer, measure one
-window, and return a :class:`~repro.fleet.result.FleetResult` with
-fleet totals, per-server breakdowns and the pooled latency
-distribution.
+:func:`collect_fleet_result` is what :meth:`FleetCell.collect
+<repro.fleet.spec.FleetCell.collect>` returns once
+:func:`repro.api.run_cell` has warmed the cluster through the
+balancer and measured one window: fleet totals, per-server breakdowns
+and the pooled latency distribution.
 """
 
 from __future__ import annotations
 
-from repro.fleet.cluster import ClusterConfig, FleetMachine
+from repro.fleet.cluster import FleetMachine
 from repro.fleet.result import FleetResult, ServerResult
 from repro.server.stats import summarize_latency_ns
-from repro.units import MS, ns_to_s
+from repro.units import ns_to_s
 from repro.workloads.base import Workload
-
-
-def run_fleet_experiment(
-    workload: Workload,
-    cluster: ClusterConfig,
-    duration_ns: int = 400 * MS,
-    warmup_ns: int = 50 * MS,
-    seed: int = 0,
-    fleet: FleetMachine | None = None,
-) -> FleetResult:
-    """Run ``workload`` against ``cluster`` and measure one window.
-
-    The classic driver, kept as a thin wrapper over
-    :func:`repro.api.measure_window`; anything starting from a
-    :class:`~repro.fleet.spec.FleetCell` should prefer
-    :func:`repro.api.run_cell`.
-    """
-    from repro.api import measure_window
-
-    if duration_ns <= 0:
-        raise ValueError(f"duration must be positive, got {duration_ns}")
-    if warmup_ns < 0:
-        raise ValueError(f"warmup must be non-negative, got {warmup_ns}")
-    if fleet is None:
-        fleet = FleetMachine(cluster, seed=seed)
-    else:
-        # Same contract as run_experiment's prebuilt machine: labels
-        # on the result must describe the fleet that produced it.
-        if fleet.cluster != cluster:
-            raise ValueError(
-                f"fleet was built for cluster {fleet.cluster.label()!r} "
-                f"but the experiment is labelled {cluster.label()!r}"
-            )
-        if fleet.sim.seed != seed:
-            raise ValueError(
-                f"fleet was built with seed {fleet.sim.seed} "
-                f"but the experiment is labelled seed {seed}"
-            )
-    measure_window(fleet, workload, duration_ns, warmup_ns)
-    return collect_fleet_result(fleet, workload, duration_ns, seed)
 
 
 def collect_fleet_result(

@@ -148,17 +148,6 @@ class FleetCell:
             runtime, workload, self.duration_ns, self.seed
         )
 
-    def simulate(self) -> FleetResult:
-        """Run this cell from scratch.
-
-        Deprecated: this predates the unified cell protocol — prefer
-        :func:`repro.api.run_cell`, which this now wraps.
-        """
-        from repro.api import run_cell
-
-        result: FleetResult = run_cell(self)
-        return result
-
     # -- identity ----------------------------------------------------------
     @property
     def config(self) -> str:

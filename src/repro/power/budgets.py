@@ -12,10 +12,10 @@ derivation in Sec. 5.4 of the paper:
   ``Pdram_diff = 1.1 W``.
 
 The paper reports only aggregates; the per-component split below is
-our calibration (documented in DESIGN.md Sec. 3) chosen so that every
-aggregate in Table 1 / Sec. 5.4 is reproduced to within 0.2 W. The
-:meth:`SkxPowerBudget.validate` method asserts that closure, so any
-edit that breaks the ledger fails fast.
+our calibration, chosen so that every aggregate in Table 1 / Sec. 5.4
+is reproduced to within 0.2 W. The :meth:`SkxPowerBudget.validate`
+method asserts that closure, so any edit that breaks the ledger fails
+fast.
 """
 
 from __future__ import annotations

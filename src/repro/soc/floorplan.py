@@ -17,9 +17,8 @@ north cap row.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
-
-import networkx as nx
 
 
 @dataclass(frozen=True)
@@ -41,7 +40,8 @@ class SkxFloorplan:
         self.n_cores = n_cores
         self.mesh_cols = mesh_cols
         self.tiles: dict[str, Tile] = {}
-        self.graph = nx.Graph()
+        #: Undirected mesh adjacency: tile name -> neighbouring tiles.
+        self.graph: dict[str, set[str]] = {}
         self._build()
 
     def _build(self) -> None:
@@ -71,18 +71,22 @@ class SkxFloorplan:
                 if other in positions:
                     for a in names:
                         for b in positions[other]:
-                            self.graph.add_edge(a, b)
+                            self._add_edge(a, b)
             # Co-located tiles (e.g. gpmu sharing a north-cap slot).
             for a in names:
                 for b in names:
                     if a != b:
-                        self.graph.add_edge(a, b)
+                        self._add_edge(a, b)
 
     def _add_tile(self, tile: Tile) -> None:
         if tile.name in self.tiles:
             raise ValueError(f"duplicate tile {tile.name!r}")
         self.tiles[tile.name] = tile
-        self.graph.add_node(tile.name)
+        self.graph[tile.name] = set()
+
+    def _add_edge(self, a: str, b: str) -> None:
+        self.graph[a].add(b)
+        self.graph[b].add(a)
 
     # -- metrics ---------------------------------------------------------
     def manhattan_hops(self, src: str, dst: str) -> int:
@@ -91,8 +95,26 @@ class SkxFloorplan:
         return abs(a.row - b.row) + abs(a.col - b.col)
 
     def routed_hops(self, src: str, dst: str) -> int:
-        """Hops along the mesh graph (>= Manhattan distance)."""
-        return nx.shortest_path_length(self.graph, src, dst)
+        """Hops along the mesh graph (>= Manhattan distance).
+
+        Raises ``ValueError`` when mesh holes leave ``dst`` unreachable
+        from ``src`` (e.g. ``SkxFloorplan(3, 5)``: ``pcie0`` -> ``mc1``).
+        """
+        if src not in self.graph or dst not in self.graph:
+            missing = src if src not in self.graph else dst
+            raise KeyError(missing)
+        # Breadth-first search: every mesh edge costs one hop.
+        hops = {src: 0}
+        frontier = deque([src])
+        while frontier:
+            tile = frontier.popleft()
+            if tile == dst:
+                return hops[tile]
+            for neighbour in self.graph[tile]:
+                if neighbour not in hops:
+                    hops[neighbour] = hops[tile] + 1
+                    frontier.append(neighbour)
+        raise ValueError(f"no mesh route from tile {src!r} to tile {dst!r}")
 
     def direct_star_wirelength(self, hub: str, leaves: list[str]) -> int:
         """Total hops routing every leaf individually to the hub."""

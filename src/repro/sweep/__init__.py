@@ -3,24 +3,23 @@
 The paper's figures are all workload x config x rate x seed sweeps;
 this package turns "one figure" into data:
 
->>> from repro.sweep import SweepSpec, memcached_points, run_sweep
+>>> from repro.sweep import SweepSession, SweepSpec, memcached_points
 >>> spec = SweepSpec(
 ...     workloads=memcached_points([0, 4_000]),
 ...     configs=("Cshallow", "CPC1A"),
 ...     seeds=(1,),
 ... )
->>> results = run_sweep(spec, workers=1)  # doctest: +SKIP
+>>> with SweepSession(workers=1) as session:  # doctest: +SKIP
+...     results = session.run(spec)
 
 - :class:`SweepSpec` expands deterministically into
   :class:`ExperimentSpec` cells (plain, picklable data); a ``props``
   axis grids platform-property overrides (``repro props list``) on
   top of the named configs;
-- :class:`SweepRunner` fans cells out over a multiprocessing pool —
-  each worker owns (and recycles) its machines, so parallel == serial
+- :class:`SweepSession` fans cells out over a worker pool and keeps
+  the pool and the workers' warm machines alive across runs — each
+  worker owns (and recycles) its machines, so parallel == serial
   bit-for-bit;
-- :class:`SweepSession` keeps the pool and the workers' warm machines
-  alive across runs (the high-throughput entry point for benchmarks
-  and the CLI);
 - :class:`ResultStore` caches results under content-hash keys, making
   re-runs of unchanged cells instant (reads are checksum-verified;
   corrupt records are quarantined and re-simulated);
@@ -39,15 +38,14 @@ from repro.sweep.aggregate import (
     MetricStats,
     aggregate_over_seeds,
 )
-from repro.sweep.runner import (
-    SweepResults,
-    SweepRunner,
-    default_workers,
-    run_cell,
-    run_sweep,
-)
 from repro.sweep.journal import JOURNAL_SCHEMA, JournalError, RunJournal
-from repro.sweep.session import (SweepCellError, SweepSession, recycling_enabled)
+from repro.sweep.session import (
+    SweepCellError,
+    SweepResults,
+    SweepSession,
+    default_workers,
+    recycling_enabled,
+)
 from repro.sweep.spec import (
     ExperimentSpec,
     PropPairs,
@@ -101,7 +99,6 @@ __all__ = [
     "StreamingCsvWriter",
     "SweepCellError",
     "SweepResults",
-    "SweepRunner",
     "SweepSession",
     "SweepSpec",
     "SweepSupervisor",
@@ -120,8 +117,6 @@ __all__ = [
     "resolved_machine_props",
     "result_from_dict",
     "result_to_dict",
-    "run_cell",
-    "run_sweep",
     "warmup_for_duration",
     "write_csv",
 ]

@@ -52,8 +52,9 @@ from typing import Callable, Sequence
 from repro.server.experiment import ExperimentResult
 from repro.server.recycle import CheckpointError
 from repro.sweep import chaos
+from repro.sweep.aggregate import CellAggregate, aggregate_over_seeds
 from repro.sweep.spec import ExperimentSpec, SweepSpec
-from repro.sweep.store import ResultStore
+from repro.sweep.store import ResultStore, write_csv
 from repro.sweep.supervisor import (
     KIND_ERROR,
     AttemptFailure,
@@ -71,6 +72,27 @@ class SweepCellError(RuntimeError):
     inside a pool names its config/scenario/rate/seed instead of only
     a traceback from an anonymous process.
     """
+
+
+def default_workers() -> int:
+    """Worker count honouring the ``REPRO_SWEEP_WORKERS`` override.
+
+    Like the CLI's ``--workers``, a value of 0 (or unset) means one
+    worker per core.
+    """
+    override = os.environ.get("REPRO_SWEEP_WORKERS")
+    if override:
+        try:
+            count = int(override)
+        except ValueError:
+            raise ValueError(
+                f"REPRO_SWEEP_WORKERS must be an integer, got {override!r}"
+            ) from None
+        if count < 0:
+            raise ValueError(f"REPRO_SWEEP_WORKERS must be >= 0, got {count}")
+        if count > 0:
+            return count
+    return max(1, os.cpu_count() or 1)
 
 
 def recycling_enabled() -> bool:
@@ -199,20 +221,14 @@ def _cell_task(payload, attempt: int = 1):
         # wall clock charges descheduled time to whichever cell was
         # in flight, which would garble the build/simulate split.
         build_start = process_time()
-        if hasattr(spec, "collect"):
-            # The cell protocol (repro.api.Cell): every first-party
-            # cell kind — single-machine and fleet — dispatches here,
-            # with warm-runtime reuse for both.
-            from repro.api import run_cell
+        # Resolved at call time: profilers wrap repro.api.run_cell from
+        # outside, and a module-level import would close the
+        # api -> session import cycle.
+        from repro.api import run_cell
 
-            runtime = _runtime_for(spec)
-            sim_start = process_time()
-            result = run_cell(spec, runtime=runtime)
-        else:
-            # Legacy self-simulating cells own their whole
-            # build+measure flow; no warm reuse applies.
-            sim_start = build_start
-            result = spec.simulate()
+        runtime = _runtime_for(spec)
+        sim_start = process_time()
+        result = run_cell(spec, runtime=runtime)
         done = process_time()
         if store is not None:
             store.put(key, result, spec=spec)
@@ -221,18 +237,81 @@ def _cell_task(payload, attempt: int = 1):
     except SweepCellError:
         raise
     except Exception as error:
-        try:
-            label = spec.label()
-        except Exception:
-            # label() validates the workload, which may be the very
-            # thing that failed; never mask the original error.
-            label = (
-                f"{spec.config}/{spec.scenario or spec.workload}"
-                f"@{spec.qps:g}/seed{spec.seed}"
-            )
         raise SweepCellError(
-            f"sweep cell {label} failed: {type(error).__name__}: {error}"
+            f"sweep cell {_cell_label(spec)} failed: "
+            f"{type(error).__name__}: {error}"
         ) from error
+
+
+class SweepResults:
+    """Ordered results of one sweep run, with cell-wise lookup.
+
+    ``cells`` and ``results`` are aligned and cover the cells that
+    *completed*; cells that exhausted their retry budget under the
+    session's :class:`~repro.sweep.supervisor.CellPolicy` appear on
+    ``quarantined`` (as
+    :class:`~repro.sweep.supervisor.QuarantinedCell` records, with
+    their label and per-attempt failure history) instead.
+    """
+
+    def __init__(
+        self,
+        cells: Sequence[ExperimentSpec],
+        results: Sequence[ExperimentResult],
+        cache_hits: int = 0,
+        quarantined: Sequence | None = None,
+    ):
+        self.cells = list(cells)
+        self.results = list(results)
+        self.cache_hits = cache_hits
+        self.quarantined = list(quarantined) if quarantined is not None else []
+
+    def __iter__(self):
+        return iter(self.results)
+
+    def __len__(self) -> int:
+        return len(self.results)
+
+    def select(self, **criteria) -> list[ExperimentResult]:
+        """Results whose cell matches every criterion.
+
+        Criteria name cell fields — :class:`ExperimentSpec` fields for
+        ordinary sweeps (e.g. ``select(config="CPC1A", qps=4000)``),
+        fleet-cell fields (``routing``, ``n_servers``) for fleet runs.
+        """
+        cell_type = type(self.cells[0]) if self.cells else ExperimentSpec
+        fields = getattr(
+            cell_type, "__dataclass_fields__", ExperimentSpec.__dataclass_fields__
+        )
+        unknown = [name for name in criteria if name not in fields]
+        if unknown:
+            raise TypeError(
+                f"unknown selection criteria {unknown}; "
+                f"cells have {sorted(fields)}"
+            )
+        matches = []
+        for cell, result in zip(self.cells, self.results):
+            if all(getattr(cell, name) == value for name, value in criteria.items()):
+                matches.append(result)
+        return matches
+
+    def one(self, **criteria) -> ExperimentResult:
+        """The unique result matching the criteria (raises otherwise)."""
+        matches = self.select(**criteria)
+        if len(matches) != 1:
+            raise LookupError(
+                f"expected exactly one cell matching {criteria}, "
+                f"found {len(matches)}"
+            )
+        return matches[0]
+
+    def aggregate(self) -> list[CellAggregate]:
+        """Per-seed aggregation (mean/CI) of every grid cell."""
+        return aggregate_over_seeds(self.results, cells=self.cells)
+
+    def write_csv(self, path, columns: tuple[str, ...] | None = None) -> int:
+        """Write every cell as a CSV row (spec labels included)."""
+        return write_csv(path, self.results, columns=columns, cells=self.cells)
 
 
 class SweepSession:
@@ -256,8 +335,6 @@ class SweepSession:
     def __init__(self, workers: int | None = None, store=None,
                  policy: CellPolicy | None = None):
         if workers is None:
-            from repro.sweep.runner import default_workers
-
             workers = default_workers()
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
@@ -343,8 +420,6 @@ class SweepSession:
         were already journaled before this run are surfaced as
         ``journal_skipped`` — the ``--resume`` accounting.
         """
-        from repro.sweep.runner import SweepResults
-
         if self._closed:
             raise RuntimeError("session is closed")
         if store is None:

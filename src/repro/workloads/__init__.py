@@ -6,8 +6,7 @@ OLTP). We reproduce each as an open workload model whose *observable
 baseline behaviour* — per-core and all-idle residency versus load —
 is calibrated against the paper's Fig. 6/8/9, so that everything the
 simulator then predicts (power savings, latency impact) is a genuine
-model output rather than a fit. See DESIGN.md Sec. 2 for the
-substitution argument.
+model output rather than a fit.
 
 Beyond the paper, :class:`NginxWorkload` (short-request web tier),
 :class:`RpcFanoutWorkload` (scatter-gather with cross-core wakeup
@@ -22,7 +21,6 @@ from repro.workloads.arrivals import (
     ConvoyArrivals,
     GammaArrivals,
     MMPPArrivals,
-    MmppArrivals,
     PoissonArrivals,
     TraceReplayArrivals,
 )
@@ -44,22 +42,8 @@ from repro.workloads.upi_traffic import CompositeWorkload, UpiSnoopTraffic
 from repro.workloads.factory import build_workload
 
 
-def __getattr__(name: str):
-    """``WORKLOAD_NAMES``/``PRESET_WORKLOADS``, served live.
-
-    The tuples grow as scenarios register, so they are computed on
-    access (via the factory) rather than frozen at import time.
-    """
-    if name in ("WORKLOAD_NAMES", "PRESET_WORKLOADS"):
-        from repro.workloads import factory
-
-        return getattr(factory, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
 __all__ = [
     "build_workload",
-    "WORKLOAD_NAMES",
     "Request",
     "Workload",
     "NullWorkload",
@@ -67,7 +51,6 @@ __all__ = [
     "PoissonArrivals",
     "GammaArrivals",
     "MMPPArrivals",
-    "MmppArrivals",
     "ConvoyArrivals",
     "TraceReplayArrivals",
     "ServiceModel",

@@ -134,32 +134,6 @@ class MMPPArrivals(ArrivalProcess):
             self._phase_left_ns = float(rng.exponential(self.dwell_ns[self._phase]))
 
 
-class MmppArrivals(MMPPArrivals):
-    """The two-state high/low special case of :class:`MMPPArrivals`.
-
-    Kept as the named model the MySQL/memcached docs reference —
-    alternating high-rate and low-rate phases with exponential dwells,
-    the classic model for bursty, unpredictable user-facing load.
-    """
-
-    def __init__(
-        self,
-        high_rate_per_s: float,
-        low_rate_per_s: float,
-        high_dwell_ns: int,
-        low_dwell_ns: int,
-    ):
-        if high_rate_per_s <= 0 or low_rate_per_s < 0:
-            raise ValueError("rates must be positive (low rate may be zero)")
-        super().__init__(
-            (high_rate_per_s, low_rate_per_s), (high_dwell_ns, low_dwell_ns)
-        )
-        self.high_rate_per_s = high_rate_per_s
-        self.low_rate_per_s = low_rate_per_s
-        self.high_dwell_ns = high_dwell_ns
-        self.low_dwell_ns = low_dwell_ns
-
-
 class TraceReplayArrivals(ArrivalProcess):
     """Replays recorded inter-arrival gaps — deterministic by design.
 

@@ -2,15 +2,10 @@
 
 The sweep subsystem fans experiments out over worker processes, so a
 sweep cell must describe its workload with plain data (name + rate +
-preset) rather than a live object. Since PR 3 the mapping lives in
-the scenario registry (:mod:`repro.scenarios`): this module is the
-thin compatibility layer the CLI and sweep specs have always imported,
-now answering from the registry, so scenarios added with one decorator
-are immediately buildable everywhere.
-
-``WORKLOAD_NAMES`` and ``PRESET_WORKLOADS`` remain importable but are
-computed on attribute access (PEP 562), because the registry can grow
-at runtime. The registry import happens inside the accessors — never
+preset) rather than a live object. The mapping lives in the scenario
+registry (:mod:`repro.scenarios`): this module answers from it, so
+scenarios added with one decorator are immediately buildable
+everywhere. The registry import happens inside each function — never
 at module import — to keep ``repro.workloads`` -> ``repro.scenarios``
 -> workload modules acyclic.
 """
@@ -52,12 +47,3 @@ def preset_workload_names() -> tuple[str, ...]:
         for scenario in registry.all_scenarios()
         if scenario.uses_preset
     )
-
-
-def __getattr__(name: str):
-    """Back-compat: the historical tuple constants, served live."""
-    if name == "WORKLOAD_NAMES":
-        return workload_names()
-    if name == "PRESET_WORKLOADS":
-        return preset_workload_names()
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

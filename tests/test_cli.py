@@ -1,0 +1,110 @@
+"""Pinned defaults of the grid commands (``sweep``, ``fleet``, ``export``).
+
+A bare invocation of each command is parsed and every resulting value
+is compared against a literal, together with each flag's spelling, its
+type and its choices — so a refactor of the argument plumbing cannot
+silently drop a flag or move a default.
+"""
+
+from __future__ import annotations
+
+import argparse
+
+import pytest
+
+from repro.cli import build_parser
+
+WORKLOADS = [
+    "memcached", "mysql", "kafka", "idle", "nginx", "rpc-fanout",
+    "memcached-diurnal", "replay",
+]
+
+#: Flags and defaults ``sweep`` and ``fleet`` share.
+GRID_DEFAULTS = {
+    "cell_deadline": None,
+    "duration_ms": 0,
+    "max_retries": 3,
+    "preset": "low",
+    "presets": None,
+    "progress": None,
+    "quarantine_report": None,
+    "rates": None,
+    "resume": False,
+    "retry_backoff": 0.05,
+    "scenario": None,
+    "seeds": "1",
+    "set_props": [],
+    "stats_json": None,
+    "store": None,
+    "trace": None,
+    "warmup_ms": None,
+    "workers": 0,
+    "workload": "memcached",
+}
+GRID_FLAGS = {
+    "--cell-deadline", "--configs", "--duration-ms", "--help",
+    "--max-retries", "--no-progress", "--out", "--preset", "--presets",
+    "--progress", "--quarantine-report", "--rates", "--resume",
+    "--retry-backoff", "--scenario", "--seeds", "--set", "--stats-json",
+    "--store", "--trace", "--warmup-ms", "--workers", "--workload", "-h",
+}
+GRID_TYPES = {
+    "duration_ms": "int", "warmup_ms": "int", "workers": "int",
+    "max_retries": "int", "retry_backoff": "float", "cell_deadline": "float",
+}
+
+EXPECTED = {
+    "sweep": (
+        {**GRID_DEFAULTS, "configs": "Cshallow,CPC1A",
+         "out": "results/sweep_grid.csv"},
+        GRID_FLAGS,
+        GRID_TYPES,
+        {"workload": WORKLOADS, "scenario": WORKLOADS},
+    ),
+    "fleet": (
+        {**GRID_DEFAULTS, "configs": "CPC1A", "out": "results/fleet_grid.csv",
+         "control": "static", "dispatch_latency_us": 2.0,
+         "pack_watermark": 0, "routing": "round-robin,power-aware-pack",
+         "servers": 2},
+        GRID_FLAGS | {"--control", "--dispatch-latency-us",
+                      "--pack-watermark", "--routing", "--servers"},
+        {**GRID_TYPES, "servers": "int", "dispatch_latency_us": "float",
+         "pack_watermark": "int"},
+        {"workload": WORKLOADS, "scenario": WORKLOADS},
+    ),
+    "export": (
+        {"configs": "Cshallow,CPC1A", "duration_ms": 100,
+         "out": "results/sweep.csv", "preset": "low", "progress": None,
+         "qps": 20000, "rates": "0,4000,10000,25000,50000,100000",
+         "seed": 0, "set_props": [], "store": None, "warmup_ms": 20,
+         "workers": 1, "workload": "memcached"},
+        {"--configs", "--duration-ms", "--help", "--no-progress", "--out",
+         "--preset", "--progress", "--qps", "--rates", "--seed", "--set",
+         "--store", "--warmup-ms", "--workers", "--workload", "-h"},
+        {"qps": "float", "duration_ms": "int", "warmup_ms": "int",
+         "seed": "int", "workers": "int"},
+        {"workload": WORKLOADS},
+    ),
+}
+
+
+def _subparser(command: str) -> argparse.ArgumentParser:
+    parser = build_parser()
+    (sub,) = [
+        action for action in parser._actions
+        if isinstance(action, argparse._SubParsersAction)
+    ]
+    return sub.choices[command]
+
+
+@pytest.mark.parametrize("command", sorted(EXPECTED))
+def test_bare_command_defaults_are_pinned(command):
+    defaults, flags, types, choices = EXPECTED[command]
+    args = vars(build_parser().parse_args([command]))
+    assert args.pop("command") == command
+    args.pop("fn")
+    assert args == defaults
+    actions = _subparser(command)._actions
+    assert {flag for action in actions for flag in action.option_strings} == flags
+    assert {a.dest: a.type.__name__ for a in actions if a.type} == types
+    assert {a.dest: list(a.choices) for a in actions if a.choices} == choices

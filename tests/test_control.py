@@ -14,6 +14,7 @@ import io
 
 import pytest
 
+from repro.api import run_cell
 from repro.control import (
     ACTIVE,
     BOOTING,
@@ -38,7 +39,6 @@ from repro.fleet import (
     FleetMachine,
     FleetSpec,
     flatten_fleet_result,
-    run_fleet_experiment,
 )
 from repro.lint.sanitizer import verify_recycle_roundtrip
 from repro.power.budgets import CorePowerSpec
@@ -257,6 +257,15 @@ def controlled_cluster(n=2, control="slo-pack", knobs=FAST_KNOBS, **kw):
     )
 
 
+def controlled_cell(qps, n=2, control="slo-pack", knobs=FAST_KNOBS, **kw):
+    """:func:`controlled_cluster` as a memcached cell at ``qps``."""
+    return FleetCell(
+        workload="memcached", qps=qps, preset="low", machine="CPC1A",
+        n_servers=n, routing="least-outstanding",
+        control=control, control_props=knobs, **kw,
+    )
+
+
 class HandsOff:
     """Stub controller: issues no commands.
 
@@ -379,11 +388,10 @@ class TestDeepGates:
 
 class TestControlledExperiment:
     def test_telemetry_lands_in_the_result(self):
-        cluster = controlled_cluster(n=4, control="sleepscale")
-        result = run_fleet_experiment(
-            MemcachedWorkload(qps=20_000), cluster,
+        result = run_cell(controlled_cell(
+            20_000, n=4, control="sleepscale",
             duration_ns=6 * MS, warmup_ns=2 * MS, seed=1,
-        )
+        ))
         assert result.control == "sleepscale"
         assert result.slo_windows > 0
         assert result.slo_violations == 0
@@ -394,11 +402,10 @@ class TestControlledExperiment:
         assert row["park_transitions"] == result.park_transitions()
 
     def test_controller_keeps_p99_under_the_slo(self):
-        cluster = controlled_cluster(n=4, control="slo-pack")
-        result = run_fleet_experiment(
-            MemcachedWorkload(qps=30_000), cluster,
+        result = run_cell(controlled_cell(
+            30_000, n=4, control="slo-pack",
             duration_ns=8 * MS, warmup_ns=2 * MS, seed=2,
-        )
+        ))
         assert result.slo_violations == 0
         assert result.latency.p99_us < 1_000.0  # the 1 ms default SLO
 

@@ -9,6 +9,7 @@ import json
 
 import pytest
 
+from repro.api import run_cell
 from repro.fleet import (
     FLEET_CSV_COLUMNS,
     ClusterConfig,
@@ -18,18 +19,27 @@ from repro.fleet import (
     FleetSpec,
     fleet_power_curve,
     flatten_fleet_result,
-    run_fleet_experiment,
     server_prefix,
 )
 from repro.server.stats import EMPTY_SUMMARY, LatencySummary
 from repro.sweep import ResultStore, SweepSession, WorkloadPoint
 from repro.units import MS, US
-from repro.workloads.base import NullWorkload, Request
+from repro.workloads.base import Request
 from repro.workloads.memcached import MemcachedWorkload
 
 
 def small_cluster(routing="round-robin", n=2, **kwargs):
     return ClusterConfig(machine="CPC1A", n_servers=n, routing=routing, **kwargs)
+
+
+def small_cell(qps, routing="round-robin", n=2, *, seed, duration_ns,
+               warmup_ns, machine="CPC1A", **kwargs):
+    """A fleet cell under memcached at ``qps`` (0 = the idle scenario)."""
+    return FleetCell(
+        workload="memcached" if qps else "idle", qps=qps, preset="low",
+        machine=machine, n_servers=n, routing=routing, seed=seed,
+        duration_ns=duration_ns, warmup_ns=warmup_ns, **kwargs,
+    )
 
 
 class TestClusterConfig:
@@ -177,14 +187,13 @@ class TestRouting:
         assert list(fleet.balancer.outstanding) == [0, 0]
 
     def test_dispatch_latency_is_in_end_to_end_latency(self):
-        slow = ClusterConfig(machine="CPC1A", n_servers=1, dispatch_latency_ns=100 * US)
-        fast = ClusterConfig(machine="CPC1A", n_servers=1, dispatch_latency_ns=0)
-        results = {}
-        for label, cluster in (("slow", slow), ("fast", fast)):
-            results[label] = run_fleet_experiment(
-                MemcachedWorkload(qps=20_000), cluster,
+        results = {
+            label: run_cell(small_cell(
+                20_000, n=1, dispatch_latency_ns=dispatch_ns,
                 duration_ns=5 * MS, warmup_ns=1 * MS, seed=2,
-            )
+            ))
+            for label, dispatch_ns in (("slow", 100 * US), ("fast", 0))
+        }
         gap_us = results["slow"].latency.mean_us - results["fast"].latency.mean_us
         assert gap_us == pytest.approx(100.0, rel=0.25)
 
@@ -192,32 +201,23 @@ class TestRouting:
 class TestFleetExperiment:
     @pytest.fixture(scope="class")
     def result(self):
-        return run_fleet_experiment(
-            MemcachedWorkload(qps=40_000),
-            small_cluster("round-robin", n=2),
+        return run_cell(small_cell(
+            40_000, "round-robin", n=2,
             duration_ns=8 * MS, warmup_ns=2 * MS, seed=1,
-        )
+        ))
 
     def test_config_name_is_the_canonical_built_name(self):
         # A Cshallow cluster overridden to pc1a reports as CPC1A, so
         # aggregation never folds a hybrid into its spelled base.
-        result = run_fleet_experiment(
-            NullWorkload(),
-            ClusterConfig(
-                machine="Cshallow", n_servers=2,
-                props={"package_policy": "pc1a"},
-            ),
+        result = run_cell(small_cell(
+            0, machine="Cshallow", props={"package_policy": "pc1a"},
             duration_ns=4 * MS, warmup_ns=1 * MS, seed=1,
-        )
+        ))
         assert result.config_name == "CPC1A"
-        mixed = run_fleet_experiment(
-            NullWorkload(),
-            ClusterConfig(
-                machine="Cshallow", n_servers=2,
-                server_props=((), {"timer_tick_hz": 250}),
-            ),
+        mixed = run_cell(small_cell(
+            0, machine="Cshallow", server_props=((), {"timer_tick_hz": 250}),
             duration_ns=4 * MS, warmup_ns=1 * MS, seed=1,
-        )
+        ))
         assert mixed.config_name == "Cshallow/mixed"
 
     def test_totals_are_consistent(self, result):
@@ -245,12 +245,12 @@ class TestFleetExperiment:
     def test_pooled_percentiles_are_exact_not_merged(self):
         import numpy as np
 
-        cluster = small_cluster("least-outstanding", n=2)
-        fleet = FleetMachine(cluster, seed=4)
-        result = run_fleet_experiment(
-            MemcachedWorkload(qps=60_000), cluster,
-            duration_ns=6 * MS, warmup_ns=1 * MS, seed=4, fleet=fleet,
+        cell = small_cell(
+            60_000, "least-outstanding", n=2,
+            duration_ns=6 * MS, warmup_ns=1 * MS, seed=4,
         )
+        fleet = cell.build()
+        result = run_cell(cell, runtime=fleet)
         samples = [s for m in fleet.machines for s in m.latency.samples_ns()]
         network = fleet.machines[0].config.network_latency_ns
         expected = np.percentile(np.asarray(samples, float) + network, 99) / 1000
@@ -264,37 +264,21 @@ class TestFleetExperiment:
         restored = FleetResult.from_dict(json.loads(json.dumps(result.as_dict())))
         assert restored == result
 
-    def test_mismatched_prebuilt_fleet_is_rejected(self):
-        fleet = FleetMachine(small_cluster(n=2), seed=1)
-        with pytest.raises(ValueError, match="labelled"):
-            run_fleet_experiment(
-                NullWorkload(), small_cluster(n=3),
-                duration_ns=1 * MS, warmup_ns=0, seed=1, fleet=fleet,
-            )
-        with pytest.raises(ValueError, match="seed"):
-            run_fleet_experiment(
-                NullWorkload(), small_cluster(n=2),
-                duration_ns=1 * MS, warmup_ns=0, seed=9, fleet=fleet,
-            )
-
     def test_pack_saves_energy_vs_round_robin_at_matched_load(self):
         energies = {}
         for routing in ("round-robin", "power-aware-pack"):
-            result = run_fleet_experiment(
-                MemcachedWorkload(qps=40_000),
-                small_cluster(routing, n=4),
+            result = run_cell(small_cell(
+                40_000, routing, n=4,
                 duration_ns=10 * MS, warmup_ns=2 * MS, seed=1,
-            )
+            ))
             energies[routing] = result.energy_j
         assert energies["power-aware-pack"] < energies["round-robin"]
 
     def test_fleet_power_curve_feeds_the_ep_analysis(self):
         results = [
-            run_fleet_experiment(
-                MemcachedWorkload(qps) if qps else NullWorkload(),
-                small_cluster(n=2),
-                duration_ns=5 * MS, warmup_ns=1 * MS, seed=1,
-            )
+            run_cell(small_cell(
+                qps, n=2, duration_ns=5 * MS, warmup_ns=1 * MS, seed=1,
+            ))
             for qps in (0, 30_000, 80_000)
         ]
         curve = fleet_power_curve(results, label="test")

@@ -15,7 +15,6 @@ from repro.fleet import (
     FleetCell,
     FleetMachine,
     flatten_fleet_result,
-    run_fleet_experiment,
 )
 from repro.lint.sanitizer import verify_recycle_roundtrip
 from repro.server.experiment import run_experiment
@@ -57,12 +56,12 @@ class TestClusterRecycleGolden:
         fresh = run_cell(cell)
         # Warm fleet: built under another seed, dirtied by a full run,
         # then rewound into this cell's fresh state.
-        warm = FleetMachine(cell.cluster(), seed=9)
-        warm.checkpoint()
-        run_fleet_experiment(
-            MemcachedWorkload(qps=55_000), warm.cluster,
-            duration_ns=3 * MS, warmup_ns=1 * MS, seed=9, fleet=warm,
+        dirty = diurnal_cell(
+            workload="memcached", qps=55_000.0, seed=9, duration_ns=3 * MS
         )
+        warm = dirty.build()
+        warm.checkpoint()
+        run_cell(dirty, runtime=warm)
         cell.recycle(warm)
         recycled = run_cell(cell, runtime=warm)
 
@@ -111,16 +110,15 @@ class TestParkedFastPath:
         return fleets
 
     def test_parked_run_matches_the_event_driven_run(self, monkeypatch):
-        cluster = self.nohz_cluster()
+        cell = diurnal_cell(
+            workload="memcached", qps=20_000.0, n_servers=4, props=NOHZ,
+            seed=2, duration_ns=6 * MS,
+        )
         results, fleets = {}, {}
         for park in (True, False):
             monkeypatch.setenv("REPRO_FLEET_PARK", "1" if park else "0")
-            fleets[park] = FleetMachine(cluster, seed=2)
-            results[park] = run_fleet_experiment(
-                MemcachedWorkload(qps=20_000), cluster,
-                duration_ns=6 * MS, warmup_ns=1 * MS, seed=2,
-                fleet=fleets[park],
-            )
+            fleets[park] = cell.build()
+            results[park] = run_cell(cell, runtime=fleets[park])
         # Full observable equality: fleet totals, latency distribution
         # and every per-server power/residency breakdown.
         assert results[True] == results[False]
@@ -220,17 +218,3 @@ class TestCellProtocol:
             seed=spec.seed,
         )
         assert via_cell == classic
-
-    def test_run_cell_matches_the_classic_fleet_driver(self):
-        cell = diurnal_cell(n_servers=2)
-        via_cell = run_cell(cell)
-        classic = run_fleet_experiment(
-            cell.build_workload(), cell.cluster(),
-            duration_ns=cell.duration_ns, warmup_ns=cell.warmup_ns,
-            seed=cell.seed,
-        )
-        assert via_cell == classic
-
-    def test_simulate_shim_still_works(self):
-        cell = diurnal_cell(n_servers=2)
-        assert cell.simulate() == run_cell(cell)

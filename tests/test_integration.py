@@ -2,7 +2,7 @@
 
 The ``slow``-marked tests are the calibration gates: they re-run the
 paper's operating points and assert our reproduced numbers stay
-within the documented bands (EXPERIMENTS.md).
+within the bands asserted below.
 """
 
 import pytest
@@ -162,7 +162,7 @@ class TestPaperCalibration:
         base = run(workload, cshallow(), duration=300 * MS, warmup=50 * MS, seed=1)
         apc = run(workload, cpc1a(), duration=300 * MS, warmup=50 * MS, seed=1)
         savings = savings_between(base, apc)
-        # Paper: 37 %. Our model: ~31 % (see EXPERIMENTS.md).
+        # Paper: 37 %. Our model: ~31 %.
         assert savings.savings_percent == pytest.approx(31.0, abs=4.0)
 
     def test_mysql_presets_hit_paper_operating_points(self):

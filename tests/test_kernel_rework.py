@@ -23,7 +23,7 @@ from repro.server.ticks import OsTimerTicks
 from repro.sim import Delay, Interrupt, Process, WaitEvent
 from repro.sim.engine import COMPACTION_MIN_CANCELLED, SimulationError
 from repro.sim.timers import PeriodicTimer, RestartableTimeout
-from repro.sweep import SweepSpec, memcached_points, run_sweep
+from repro.sweep import SweepSession, SweepSpec, memcached_points
 from repro.sweep.store import result_from_dict, result_to_dict
 from repro.units import MS
 from repro.workloads.memcached import MemcachedWorkload
@@ -409,5 +409,5 @@ class TestDeterminism:
             warmup_ns=2 * MS,
         )
         out = tmp_path / "fig7_smoke.csv"
-        run_sweep(spec, workers=1).write_csv(out)
+        SweepSession(workers=1).run(spec).write_csv(out)
         assert filecmp.cmp(out, DATA_DIR / "golden_fig7_smoke.csv", shallow=False)

@@ -1,6 +1,5 @@
 """Tests for the SKX floorplan and its routing metrics."""
 
-import networkx as nx
 import pytest
 
 from repro.soc.floorplan import SkxFloorplan
@@ -26,7 +25,7 @@ class TestConstruction:
 
     def test_graph_is_connected(self):
         plan = SkxFloorplan()
-        assert nx.is_connected(plan.graph)
+        assert all(plan.routed_hops("apmu", tile) >= 0 for tile in plan.graph)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -35,7 +34,7 @@ class TestConstruction:
     def test_custom_core_count(self):
         plan = SkxFloorplan(n_cores=28, mesh_cols=6)
         assert len(plan.core_names()) == 28
-        assert nx.is_connected(plan.graph)
+        assert all(plan.routed_hops("apmu", tile) >= 0 for tile in plan.graph)
 
 
 class TestRoutingMetrics:
@@ -50,6 +49,21 @@ class TestRoutingMetrics:
             assert plan.routed_hops(tile, "apmu") >= plan.manhattan_hops(
                 tile, "apmu"
             ) - 1  # co-located tiles share a slot
+
+    def test_routed_hops_counts_mesh_edges(self):
+        plan = SkxFloorplan()
+        # core0 (1, 0) -> core9 (3, 1): two rows down, one column over.
+        assert plan.routed_hops("core0", "core9") == 3
+        assert plan.routed_hops("gpmu", "pcie0") == 1  # co-located slot
+        assert plan.routed_hops("core5", "core5") == 0
+
+    def test_unreachable_tile_names_both_tiles(self):
+        # Mesh holes can disconnect a plan the constructor accepts: in
+        # a 3-core, 5-column die mc1 lands at (1, 4) and every slot
+        # around it is empty.
+        plan = SkxFloorplan(n_cores=3, mesh_cols=5)
+        with pytest.raises(ValueError, match="'pcie0'.*'mc1'"):
+            plan.routed_hops("pcie0", "mc1")
 
     def test_aggregation_saves_wirelength(self):
         # Sec. 5.3: AND-combining neighbouring cores' InCC1 wires

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.api import run_cell
 from repro.cli import main as cli_main
 from repro.server.stats import EMPTY_SUMMARY
 from repro.server.experiment import ExperimentResult
@@ -12,7 +13,7 @@ from repro.sweep import (
     MemoryStore,
     MetricStats,
     ResultStore,
-    SweepRunner,
+    SweepSession,
     SweepSpec,
     WorkloadPoint,
     aggregate_over_seeds,
@@ -22,7 +23,6 @@ from repro.sweep import (
     preset_points,
     result_from_dict,
     result_to_dict,
-    run_cell,
     warmup_for_duration,
 )
 from repro.tracing.socwatch import OpportunityEstimate
@@ -196,8 +196,9 @@ class TestRunner:
             configs=("CPC1A",),
             seeds=(1, 2),
         )
-        serial = SweepRunner(spec, workers=1).run()
-        parallel = SweepRunner(spec, workers=2).run()
+        serial = SweepSession(workers=1).run(spec)
+        with SweepSession(workers=2) as session:
+            parallel = session.run(spec)
         assert serial.results == parallel.results
 
     def test_store_turns_reruns_into_cache_hits(self):
@@ -206,16 +207,17 @@ class TestRunner:
             configs=("Cshallow", "CPC1A"),
         )
         store = MemoryStore()
-        first = SweepRunner(spec, store=store).run()
+        session = SweepSession(workers=1)
+        first = session.run(spec, store=store)
         assert first.cache_hits == 0
-        second = SweepRunner(spec, store=store).run()
+        second = session.run(spec, store=store)
         assert second.cache_hits == len(spec)
         assert second.results == first.results
 
     def test_duplicate_cells_simulated_once(self):
         cell = tiny_cell()
         store = MemoryStore()
-        results = SweepRunner([cell, cell], store=store).run()
+        results = SweepSession(workers=1).run([cell, cell], store=store)
         assert len(results) == 2
         assert results.results[0] == results.results[1]
         assert len(store) == 1
@@ -231,7 +233,7 @@ class TestRunner:
             ),
             configs=("Cshallow", "CPC1A"),
         )
-        results = SweepRunner(spec).run()
+        results = SweepSession(workers=1).run(spec)
         assert len(results.select(config="CPC1A")) == 1
         assert results.one(config="CPC1A").config_name == "CPC1A"
         with pytest.raises(LookupError):
@@ -241,7 +243,7 @@ class TestRunner:
 
     def test_worker_count_validated(self):
         with pytest.raises(ValueError):
-            SweepRunner([tiny_cell()], workers=0)
+            SweepSession(workers=0)
 
 
 def _synthetic_result(

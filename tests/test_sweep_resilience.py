@@ -24,6 +24,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.api import run_cell
 from repro.sweep import (
     ExperimentSpec,
     ResultStore,
@@ -368,8 +369,6 @@ class TestStoreRobustness:
     def put_one(self, tmp_path, seed=1):
         store = ResultStore(tmp_path / "cache")
         spec = small_spec(seed)
-        from repro.sweep import run_cell
-
         result = run_cell(spec)
         store.put(spec.key(), result, spec=spec)
         return store, spec, result
@@ -424,8 +423,6 @@ class TestStoreRobustness:
     def test_verify_reports_and_quarantines(self, tmp_path):
         store, spec, _result = self.put_one(tmp_path, seed=1)
         store2, spec2, _result2 = store, small_spec(2), None
-        from repro.sweep import run_cell
-
         store.put(spec2.key(), run_cell(spec2), spec=spec2)
         path = self.record_path(store, spec)
         blob = path.read_text()
@@ -452,8 +449,6 @@ class TestStoreRobustness:
     def test_chaos_torn_write_is_self_healing(self, tmp_path, monkeypatch):
         store = ResultStore(tmp_path / "cache")
         spec = small_spec()
-        from repro.sweep import run_cell
-
         result = run_cell(spec)
         monkeypatch.setenv(chaos.ENV_VAR, "seed=1,torn=1")
         store.put(spec.key(), result, spec=spec)

@@ -14,6 +14,7 @@ import json
 
 import pytest
 
+from repro.api import run_cell
 from repro.scenarios import registry as scenarios
 from repro.server.configs import MachineConfig, config_by_name
 from repro.server.experiment import run_experiment
@@ -26,7 +27,6 @@ from repro.sweep import (
     ResultStore,
     StreamingCsvWriter,
     SweepCellError,
-    SweepRunner,
     SweepSession,
     SweepSpec,
     WorkloadPoint,
@@ -189,9 +189,9 @@ class TestSweepSession:
         with SweepSession(workers=1) as serial, SweepSession(workers=2) as parallel:
             serial_results = serial.run(spec)
             parallel_results = parallel.run(spec)
-        runner_results = SweepRunner(spec, workers=1).run()
+        fresh_results = [run_cell(cell) for cell in spec.cells()]
         assert serial_results.results == parallel_results.results
-        assert serial_results.results == runner_results.results
+        assert serial_results.results == fresh_results
 
     def test_session_reuse_across_runs(self):
         spec = short_grid()
