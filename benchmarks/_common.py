@@ -9,9 +9,9 @@ Sweep-shaped benches (Figs. 7-9) go through :func:`run_bench_sweep`,
 which fans cells out over one shared
 :class:`~repro.sweep.SweepSession` (``REPRO_SWEEP_WORKERS`` controls
 the pool; default = core count). The session persists across bench
-invocations, so the worker pool spins up once per pytest session and
-the workers' recycled machines stay warm from figure to figure; its
-in-process result cache additionally makes a cell measured for
+invocations, so the worker pool spins up once per pytest session
+(every cell still builds its machine fresh); its in-process result
+cache additionally makes a cell measured for
 Fig. 7(b) a cache hit when Fig. 7(c) needs it again.
 """
 

@@ -11,8 +11,8 @@ Two questions, one trajectory (``results/BENCH_control.json``):
   the tail latencies; the gate fails if the margin ever erodes.
 * **How fast do controlled cells sweep?** ``control_grid`` measures
   cells/sec for a control x rate fleet grid through a parallel
-  :class:`~repro.sweep.SweepSession` — controlled cells carry a live
-  plane through warm recycle, and this is the number that regresses
+  :class:`~repro.sweep.SweepSession` — every controlled cell builds
+  its fleet and live plane fresh, and this is the number that regresses
   if the tick or the estimators get expensive. Gated at the same
   -30 % budget as the other benches.
 
@@ -70,8 +70,8 @@ GATE_PROPS = (
 )
 
 #: The throughput grid: 3 control policies x 2 rates, short windows so
-#: the sweep layer (plane construction, warm recycle of controlled
-#: fleets) is the measured quantity, not one long simulation.
+#: the sweep layer (fleet and plane construction per cell) is the
+#: measured quantity, not one long simulation.
 GRID_RATES = (20_000.0, 60_000.0)
 GRID_CONTROLS = ("static", "slo-pack", "sleepscale")
 GRID_N_SERVERS = 4
@@ -161,7 +161,7 @@ def _time_grid(session: SweepSession, cells, repeats: int) -> dict:
     n = len(cells)
     best = 0.0
     seconds = 0.0
-    session.run(cells)  # untimed warm-up: fork the pool, warm fleets
+    session.run(cells)  # untimed warm-up: fork the pool
     for _ in range(repeats):
         start = time.perf_counter()
         session.run(cells)

@@ -13,10 +13,10 @@ Two questions, one trajectory (``results/BENCH_fleet.json``):
   :class:`~repro.sweep.SweepSession` — the fleet analogue of the
   sweep-throughput bench, gated at the same -30 % budget.
 * **Do big fleets stay routine?** ``fleet_big`` sweeps a 64-server
-  memcached-diurnal grid through the warm session (cluster recycle +
-  parked servers are what make its cells/sec), gated at the same
-  budget; ``--big`` additionally times one 1,000-server cell fresh
-  and recycled (the nightly acceptance point — single-digit seconds).
+  memcached-diurnal grid through a sweep session (a fresh fleet per
+  cell; parked servers are what make its cells/sec), gated at the same
+  budget; ``--big`` additionally times one fresh 1,000-server cell
+  (the nightly acceptance point — single-digit seconds).
 
 Run modes (same contract as the kernel/sweep benches):
 
@@ -66,7 +66,7 @@ GRID_ROUTINGS = ("round-robin", "power-aware-pack")
 
 #: The big-fleet grid: the acceptance scenario at 64 servers. Short
 #: explicit windows — the measured quantity is how the session handles
-#: large cells (cluster recycle, parked servers), not one long run.
+#: large cells (fleet construction, parked servers), not one long run.
 BIG_N_SERVERS = 64
 BIG_QPS = 256_000.0
 #: The nightly acceptance point: one 1,000-server diurnal cell.
@@ -107,11 +107,10 @@ def big_grid_cells():
 
 
 def measure_huge_cell(n_servers: int = HUGE_N_SERVERS, qps: float = HUGE_QPS) -> dict:
-    """Time one 1,000-server diurnal cell, fresh and recycled.
+    """Time one fresh 1,000-server diurnal cell.
 
     The acceptance point for cluster-scale work: the whole cell —
-    build, checkpoint, simulate, collect — must stay in single-digit
-    seconds, and a recycled rerun must skip the construction cost.
+    build, simulate, collect — must stay in single-digit seconds.
     """
     import time as _time
 
@@ -123,20 +122,14 @@ def measure_huge_cell(n_servers: int = HUGE_N_SERVERS, qps: float = HUGE_QPS) ->
     start = _time.perf_counter()
     fleet = cell.build()
     built = _time.perf_counter()
-    fleet.checkpoint()
     result = run_cell(cell, runtime=fleet)
     fresh_done = _time.perf_counter()
-    recycled_cell = FleetCell(**{**cell.as_dict(), "seed": 2})
-    recycled_cell.recycle(fleet)
-    run_cell(recycled_cell, runtime=fleet)
-    recycled_done = _time.perf_counter()
     return {
         "n_servers": n_servers,
         "offered_qps": qps,
         "duration_ms": cell.duration_ns // MS,
         "build_seconds": round(built - start, 3),
         "fresh_seconds": round(fresh_done - start, 3),
-        "recycled_seconds": round(recycled_done - fresh_done, 3),
         "requests_completed": result.requests_completed,
         "active_servers": result.active_servers(),
     }
@@ -322,7 +315,6 @@ def main(argv=None) -> int:
             f"huge_cell:  {huge['n_servers']} servers, "
             f"{huge['fresh_seconds']:.2f}s fresh "
             f"(build {huge['build_seconds']:.2f}s), "
-            f"{huge['recycled_seconds']:.2f}s recycled, "
             f"{huge['requests_completed']} requests"
         )
     comparison = run["pack_vs_round_robin"]

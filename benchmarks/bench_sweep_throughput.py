@@ -11,13 +11,13 @@ either side (cells/sec is best-of):
 
 * ``serial_legacy``    — the pre-session execution model, serial: a
   fresh :class:`ServerMachine` built for every cell.
-* ``serial_session``   — ``SweepSession(workers=1)``: the same cells
-  on one warm machine per config, recycled between cells.
+* ``serial_session``   — ``SweepSession(workers=1)``: the same cells,
+  still one fresh machine per cell, through the session's dispatch.
 * ``parallel_legacy``  — the pre-session parallel model: a cold
   ``multiprocessing.Pool`` per run, chunksize-1 ordered ``imap``,
   fresh machine per cell.
 * ``parallel_session`` — a persistent :class:`SweepSession`: warm
-  pool, warm worker machines, batched unordered dispatch.
+  pool, fresh machine per cell, batched unordered dispatch.
 
 The grid is the acceptance grid of the sweep-throughput work: 3
 configs x 4 rates x 3 seeds at 50 ms windows — short cells by
@@ -115,7 +115,7 @@ def run_parallel_legacy(cells, workers: int) -> float:
 
 
 def run_session(session: SweepSession, cells) -> float:
-    """Session model: warm pool/machines, batched unordered dispatch."""
+    """Session model: warm pool, batched unordered dispatch."""
     start = time.perf_counter()
     session.run(cells)
     return time.perf_counter() - start
@@ -139,9 +139,9 @@ def run_suite(repeats: int = DEFAULT_REPEATS, workers: int = DEFAULT_WORKERS) ->
 
     with SweepSession(workers=1) as serial_session, \
             SweepSession(workers=workers) as parallel_session:
-        # Untimed warm-up pass: fork the pools, build the warm
-        # machines, let the interpreter specialize — both sides of
-        # the A/B start from the same steady state.
+        # Untimed warm-up pass: fork the pools, let the interpreter
+        # specialize — both sides of the A/B start from the same
+        # steady state.
         run_serial_legacy(cells[:3])
         serial_session.run(cells)
         parallel_session.run(cells)
@@ -289,7 +289,7 @@ def main(argv=None) -> int:
 def bench_sweep_session_parallel(benchmark):
     cells = grid_cells()
     with SweepSession(workers=DEFAULT_WORKERS) as session:
-        session.run(cells)  # warm pool + machines
+        session.run(cells)  # warm pool
 
         def sweep():
             return session.run(cells)

@@ -9,6 +9,9 @@ cell kind. The lifecycle is always::
 
     build -> (warmup) -> begin_measurement -> run -> collect
 
+Every cell builds its runtime fresh; nothing is carried from one cell
+to the next.
+
 :func:`run_cell` drives that lifecycle for any cell and is the one
 way to run a cell; :class:`~repro.sweep.session.SweepSession` is the
 one way to run a grid of them. :func:`measure_window` is the
@@ -29,7 +32,7 @@ Typical use::
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Hashable, Protocol, runtime_checkable
+from typing import TYPE_CHECKING, Any, Protocol, runtime_checkable
 
 from repro.fleet.result import FleetResult
 from repro.fleet.spec import FleetCell, FleetSpec
@@ -63,9 +66,8 @@ class CellRuntime(Protocol):
 
     :class:`~repro.server.machine.ServerMachine` and
     :class:`~repro.fleet.cluster.FleetMachine` both satisfy this —
-    one event kernel (``sim``), the warmup/measure clockwork, the
-    ``inject`` entry point workloads drive, and the
-    checkpoint/recycle pair that makes warm sweep reuse possible.
+    one event kernel (``sim``), the warmup/measure clockwork and the
+    ``inject`` entry point workloads drive.
     """
 
     sim: Any
@@ -76,8 +78,6 @@ class CellRuntime(Protocol):
 
     def begin_measurement(self) -> None: ...
 
-    def checkpoint(self) -> None: ...
-
 
 @runtime_checkable
 class Cell(Protocol):
@@ -86,10 +86,7 @@ class Cell(Protocol):
     Implementations are frozen dataclasses
     (:class:`~repro.sweep.spec.ExperimentSpec`,
     :class:`~repro.fleet.spec.FleetCell`) carrying ``duration_ns``,
-    ``warmup_ns`` and ``seed`` fields alongside these methods. The
-    warm-reuse triplet (``warm_slot``/``recycle`` plus the runtime's
-    ``checkpoint``) is what lets a sweep session amortize one runtime
-    across every cell sharing a slot.
+    ``warmup_ns`` and ``seed`` fields alongside these methods.
     """
 
     duration_ns: int
@@ -106,14 +103,6 @@ class Cell(Protocol):
 
     def build(self) -> CellRuntime:
         """Construct a fresh runtime for this cell."""
-        ...
-
-    def warm_slot(self) -> Hashable:
-        """Warm-reuse cache key: cells sharing a slot share a runtime."""
-        ...
-
-    def recycle(self, runtime: CellRuntime) -> None:
-        """Rewind a checkpointed runtime into this cell's fresh state."""
         ...
 
     def build_workload(self) -> "Workload":
@@ -152,9 +141,9 @@ def measure_window(
 def run_cell(cell: Cell, *, runtime: CellRuntime | None = None) -> Any:
     """Run one cell start to finish and return its result.
 
-    Pass ``runtime`` to reuse a prebuilt (typically recycled) runtime;
-    it must already be in the cell's fresh state — the sweep session's
-    warm path pairs this with ``cell.recycle``.
+    Pass ``runtime`` to run on a runtime built by ``cell.build()``
+    that has not run yet (the sweep session builds it separately to
+    time the build).
     """
     if runtime is None:
         runtime = cell.build()

@@ -14,7 +14,7 @@ Commands
 ``store``     result-store maintenance (``verify`` / ``gc``);
 ``scenarios`` list the registered traffic scenarios;
 ``validate``  fast end-to-end check of the headline paper anchors;
-``lint``      static determinism/checkpoint-safety analysis (RPR rules).
+``lint``      static determinism analysis (RPR rules).
 
 Sweeps
 ------
@@ -1105,7 +1105,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
 
 def cmd_lint(args: argparse.Namespace) -> int:
-    """Static determinism/checkpoint-safety analysis (rules RPR001..)."""
+    """Static determinism analysis (rules RPR001..)."""
     from repro.lint import get_rule, lint_paths, rule_catalog
 
     if args.list_rules:
@@ -1310,11 +1310,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     lint_parser = sub.add_parser(
         "lint",
-        help="static determinism/checkpoint-safety analysis",
+        help="static determinism analysis",
         description="AST-based lint pass over simulation sources: "
                     "wall-clock/unseeded randomness, float event times, "
-                    "unordered iteration into scheduling, checkpoint-unsafe "
-                    "state, shared-meter prefixes. Suppress a finding with "
+                    "unordered iteration into scheduling, __slots__ drift, "
+                    "shared-meter prefixes. Suppress a finding with "
                     "'# repro-lint: ignore[RPR001]'.",
     )
     lint_parser.add_argument("paths", nargs="*", help="files or directories to lint")

@@ -11,9 +11,8 @@ Two observables drive every controller:
   (PAPERS.md: arxiv 1404.5121): per-tick counts folded into an EWMA,
   giving the joint speed/sleep grid search its offered-load operand.
 
-Both are plain-data objects (preallocated list, ints, floats) so the
-cluster checkpoint walker snapshots and restores them in place like
-any other component state.
+Both are plain-data objects (preallocated list, ints, floats), built
+fresh with their fleet for every cell.
 """
 
 from __future__ import annotations
@@ -35,8 +34,7 @@ class LatencyWindow:
         if capacity < 1:
             raise ValueError(f"ring capacity must be positive, got {capacity}")
         self.capacity = capacity
-        # Preallocated ring: the checkpoint walker refills lists in
-        # place, so the buffer must never be reallocated mid-run.
+        # Preallocated ring: the buffer is never reallocated mid-run.
         self.ring = [0] * capacity
         self.fill = 0
         self.cursor = 0

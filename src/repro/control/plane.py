@@ -4,12 +4,8 @@ One :class:`ControlPlane` runs inside a fleet simulation when the
 cluster's ``control`` axis names a real controller. It owns:
 
 * the **control tick** — a self-re-arming callback scheduled at
-  construction. Deliberately *not* a stored-handle
-  :class:`~repro.sim.timers.PeriodicTimer`: the cluster checkpoint
-  walker (:mod:`repro.server.recycle`) refuses components that hold
-  live :class:`~repro.sim.engine.Event` references, so the tick
-  re-arms by discarding the handle each firing. Construction-event
-  replay then restores a recycled fleet's pending tick exactly.
+  construction; it discards its event handle on every firing, since
+  nothing ever needs to cancel it.
 * the **server lifecycle** — active → draining → parked → booting,
   tick-quantized. A draining or parked or booting server is
   *unroutable* (``FleetState.unroutable``); parking costs a drain
@@ -24,8 +20,8 @@ cluster's ``control`` axis names a real controller. It owns:
   SleepScale arrival estimate, fed by the balancer's control tap.
 
 Everything the plane stores is plain data (numpy arrays, ints,
-floats, a preallocated ring), so a mid-flight controller checkpoints
-and recycles like any other component.
+floats, a preallocated ring). Every cell builds its fleet, plane
+included, fresh.
 """
 
 from __future__ import annotations
@@ -54,7 +50,7 @@ class ControlPlane:
     cluster's ``control`` axis is not ``static``; never constructed
     standalone. All decisions are pure functions of simulation state
     at tick boundaries, so serial and parallel sweeps agree bit for
-    bit and a checkpointed plane replays identically.
+    bit.
     """
 
     def __init__(self, fleet, policy: str, knobs: dict | None = None):
@@ -110,10 +106,8 @@ class ControlPlane:
             )
             for machine in machines
         ]
-        # Arm the tick. The Event handle is deliberately discarded —
-        # see the module docstring — and every subsequent firing
-        # re-arms the same way, so no live reference ever survives to
-        # a checkpoint capture.
+        # Arm the tick. The Event handle is discarded — see the module
+        # docstring — and every subsequent firing re-arms the same way.
         self.sim.schedule(self.period_ns, self._tick)
 
     # -- balancer tap --------------------------------------------------------

@@ -11,17 +11,13 @@ scenario-driven arrival stream across them. It implements the same
 ``inject`` protocol workloads target, so every registered scenario
 drives a fleet unchanged.
 
-Three mechanisms keep 1,000-server fleets routine rather than heroic:
+Two mechanisms keep 1,000-server fleets routine rather than heroic
+(every cell still builds its fleet fresh):
 
 * **Flat hot state.** Per-server counters the inner loops touch —
   outstanding requests, routing tallies, the parked mask — live in a
   :class:`~repro.fleet.state.FleetState` struct-of-arrays, so policy
   decisions and window resets are single array passes.
-* **Cluster recycle.** ``checkpoint()`` walks kernel + meter + all N
-  machines as one unit (the same
-  :class:`~repro.server.recycle.MachineCheckpoint` walker single
-  servers use), so a sweep session rebuilds a warm fleet per cell by
-  restoring, not reconstructing.
 * **Parked servers.** A fully-idle server with an empty queue is
   *parked*: its scheduler-tick events are pulled out of the kernel
   and credited in closed form until the router wakes it, so kernel
@@ -47,7 +43,6 @@ from repro.power.meter import PowerMeter
 from repro.props import apply_props, render_overrides
 from repro.server.configs import MachineConfig, config_by_name
 from repro.server.machine import ServerMachine
-from repro.server.recycle import MachineCheckpoint
 from repro.server.stats import MachineStats
 from repro.sim.engine import Simulator
 from repro.sweep.spec import (
@@ -305,88 +300,9 @@ class FleetMachine:
             )
             self.balancer.control_tap = self.control
 
-    # -- warm reuse --------------------------------------------------------
     def checkpoint(self) -> None:
-        """Capture the just-built cluster so it can be recycled.
-
-        One walker pass covers the whole unit — shared kernel, shared
-        meter, all N machines, balancer and :class:`FleetState` arrays.
-        Must run before any event fires. Raises
-        :class:`~repro.server.recycle.CheckpointError` for clusters
-        whose state cannot be snapshotted faithfully (e.g. servers
-        with OS timer ticks, whose staggered arm events are live);
-        callers treat those as non-recyclable and rebuild per cell.
-        """
-        self._checkpoint = MachineCheckpoint(self)
-
-    def recycle(self, cluster: ClusterConfig, seed: int) -> None:
-        """Rewind to the checkpointed fresh state under a new seed.
-
-        The recycled fleet is byte-identical to
-        ``FleetMachine(cluster, seed)`` (pinned by the recycle-vs-fresh
-        golden tests). The target cluster must resolve to the same
-        per-server machine configs; routing policy, dispatch latency
-        and pack watermark are balancer-only knobs, so one warm fleet
-        serves cells that differ only in those.
-        """
-        checkpoint = getattr(self, "_checkpoint", None)
-        if checkpoint is None:
-            raise RuntimeError(
-                "recycle() needs a checkpoint; call checkpoint() on the "
-                "freshly built fleet first"
-            )
-        if cluster.n_servers != len(self.machines):
-            raise ValueError(
-                f"fleet was built with {len(self.machines)} servers; it "
-                f"cannot be recycled into {cluster.n_servers}"
-            )
-        if (
-            cluster.control != self.cluster.control
-            or cluster.control_props != self.cluster.control_props
-        ):
-            # The plane (controller object, knobs, tick period, boot
-            # channels) is construction-time state the checkpoint
-            # replays verbatim; unlike routing knobs it cannot be
-            # retargeted after restore.
-            raise ValueError(
-                f"fleet was built with control "
-                f"{self.cluster.control!r}{dict(self.cluster.control_props)}; "
-                f"it cannot be recycled into "
-                f"{cluster.control!r}{dict(cluster.control_props)}"
-            )
-        if cluster.server_props or self.cluster.server_props:
-            mismatch = next(
-                (
-                    index
-                    for index, machine in enumerate(self.machines)
-                    if cluster.build_machine_config(index) != machine.config
-                ),
-                None,
-            )
-        else:
-            mismatch = (
-                None
-                if cluster.build_machine_config(0) == self.machines[0].config
-                else 0
-            )
-        if mismatch is not None:
-            raise ValueError(
-                f"server {mismatch} was built for config "
-                f"{self.machines[mismatch].config.name!r}; the fleet cannot "
-                f"be recycled into cluster {cluster.label()!r}"
-            )
-        checkpoint.restore(seed)
-        # The restore pass rebuilds this object's __dict__ from the
-        # captured (checkpoint-free) snapshot; re-attach the handle so
-        # the fleet stays recyclable, then re-point the balancer at the
-        # target cell's routing knobs.
-        self._checkpoint = checkpoint
-        self.cluster = cluster
-        self.balancer.retarget(
-            cluster.routing,
-            dispatch_latency_ns=cluster.dispatch_latency_ns,
-            pack_watermark=cluster.pack_watermark,
-        )
+        # perfbench/probes.py still wraps this name at install time; nothing calls it.
+        raise NotImplementedError("warm recycling was removed; build a fresh runtime")
 
     # -- parked fast path --------------------------------------------------
     def _park_watch(self, index: int) -> Callable[[Signal, bool, bool], None]:

@@ -189,34 +189,6 @@ class LoadBalancer:
         for index, machine in enumerate(self.machines):
             machine.on_request_complete = self._completion_hook(index)
 
-    def retarget(
-        self,
-        policy: str,
-        dispatch_latency_ns: int = 0,
-        pack_watermark: int = 0,
-    ) -> None:
-        """Re-point a (freshly restored) balancer at new routing knobs.
-
-        The cluster recycle path uses this so one warm fleet serves
-        every cell that shares its per-server configs, whatever the
-        routing policy, dispatch latency or watermark of the cell —
-        those knobs configure the balancer only, never the machines.
-        """
-        if policy not in POLICY_FUNCTIONS:
-            raise ValueError(
-                f"unknown routing policy {policy!r}; have {ROUTING_POLICIES}"
-            )
-        if dispatch_latency_ns < 0:
-            raise ValueError(
-                f"dispatch latency cannot be negative: {dispatch_latency_ns}"
-            )
-        if pack_watermark <= 0:
-            pack_watermark = len(self.machines[0].cores)
-        self.policy = policy
-        self._choose = POLICY_FUNCTIONS[policy]
-        self.dispatch_latency_ns = int(dispatch_latency_ns)
-        self.state.pack_watermark = pack_watermark
-
     # -- array views (balancer-owned state lives in FleetState) ------------
     @property
     def outstanding(self) -> np.ndarray:

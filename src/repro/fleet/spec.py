@@ -6,9 +6,9 @@ fully-determined cluster measurement. Both implement the
 :class:`repro.api.Cell` protocol, so fleet cells run through the
 ordinary :class:`~repro.sweep.session.SweepSession` and inherit the
 whole orchestration stack for free: worker-pool fan-out with
-serial==parallel determinism, warm-fleet recycling, content-hash
-store caching (fleet records carry their own ``kind`` tag), streaming
-CSV, and progress/stats plumbing.
+serial==parallel determinism, a fresh fleet build per cell,
+content-hash store caching (fleet records carry their own ``kind``
+tag), streaming CSV, and progress/stats plumbing.
 """
 
 from __future__ import annotations
@@ -118,27 +118,9 @@ class FleetCell:
         """Construct a fresh fleet for this cell."""
         return FleetMachine(self.cluster(), seed=self.seed)
 
-    def warm_slot(self) -> tuple:
-        """Warm-reuse key: one fleet per server lineup.
-
-        Routing policy, dispatch latency and pack watermark are
-        balancer-only knobs (``FleetMachine.recycle`` retargets them),
-        so they stay out of the slot — one warm fleet serves every
-        routing of the same servers. The control axis is *in* the slot:
-        the plane (controller object, knobs, boot channels, tick) is
-        construction-time state a recycle replays verbatim, so cells
-        with different controllers need different warm fleets. Legacy
-        static cells all share ``("static", ())`` and behave exactly as
-        before. The leading ``"fleet"`` tag is what the sweep session's
-        warm-cache eviction keys on (a fleet runtime pins N machines,
-        so only a few stay warm at once).
-        """
-        return ("fleet", self.machine, self.props, self.server_props,
-                self.n_servers, self.control, self.control_props)
-
     def recycle(self, runtime: FleetMachine) -> None:
-        """Rewind a checkpointed fleet into this cell's fresh state."""
-        runtime.recycle(self.cluster(), self.seed)
+        # perfbench/probes.py still wraps this name at install time; nothing calls it.
+        raise NotImplementedError("warm recycling was removed; build a fresh runtime")
 
     def collect(self, runtime: FleetMachine, workload: Workload) -> FleetResult:
         """Assemble the result from a measured fleet."""

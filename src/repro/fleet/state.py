@@ -12,9 +12,7 @@ policy is a *pure function* of this view (see
 The arrays are the authoritative state, not a mirror: the balancer
 increments ``outstanding``/``routed`` here, completion hooks decrement
 here, and the park manager flips ``parked`` here. Everything is plain
-``int64``/``bool`` data, so the cluster checkpoint walker snapshots
-and restores it like any other container (``repro.server.recycle``
-refills ndarrays in place).
+``int64``/``bool`` data, allocated fresh with its fleet for every cell.
 """
 
 from __future__ import annotations

@@ -1,18 +1,12 @@
-"""``repro.lint`` — determinism & checkpoint-safety static analysis.
+"""``repro.lint`` — determinism static analysis.
 
-The simulator's correctness contract rests on two invariants the
-language cannot enforce:
+The simulator's correctness contract rests on an invariant the
+language cannot enforce: **bit-determinism** — an int-ns clock plus a
+seed fully determines a run (serial and parallel sweeps must produce
+byte-identical CSVs, and results are cached under content-hash keys).
 
-* **Bit-determinism** — an int-ns clock plus a seed fully determines a
-  run (serial and parallel sweeps must produce byte-identical CSVs,
-  and results are cached under content-hash keys).
-* **Snapshot-walkability** — machine state must survive the
-  checkpoint/restore walker in :mod:`repro.server.recycle` so warm
-  machines can be recycled across sweep cells.
-
-Golden tests catch violations of either invariant *after the fact*;
-this package detects them *at the source*. It has two halves that
-validate each other:
+Golden tests catch violations *after the fact*; this package detects
+them *at the source*. It has two halves that validate each other:
 
 * A static, AST-based analyzer (:func:`lint_paths`) with a ruff-style
   rule registry (``RPR001``..), per-line suppressions
@@ -20,9 +14,8 @@ validate each other:
   ``repro lint src/ tests/``.
 * A runtime sanitizer (``REPRO_SANITIZE=1`` or
   ``Simulator(sanitize=True)``, core in :mod:`repro.sim.sanitize`)
-  that hashes the dispatched event stream, flags same-timestamp
-  handler-order ambiguity, and cross-checks checkpoint->recycle round
-  trips (:func:`verify_recycle_roundtrip`).
+  that hashes the dispatched event stream and flags same-timestamp
+  handler-order ambiguity.
 
 See ``docs/static-analysis.md`` for the rule catalog.
 """
@@ -31,7 +24,6 @@ from __future__ import annotations
 
 from repro.lint.registry import RULES, Rule, get_rule, register_rule, rule_catalog
 from repro.lint.runner import Finding, LintReport, lint_paths, lint_source
-from repro.lint.sanitizer import RoundTripReport, verify_recycle_roundtrip
 
 # Importing the rules module populates the registry.
 from repro.lint import rules as _rules  # noqa: F401  (registration side effect)
@@ -39,7 +31,6 @@ from repro.lint import rules as _rules  # noqa: F401  (registration side effect)
 __all__ = [
     "Finding",
     "LintReport",
-    "RoundTripReport",
     "Rule",
     "RULES",
     "get_rule",
@@ -47,5 +38,4 @@ __all__ = [
     "lint_source",
     "register_rule",
     "rule_catalog",
-    "verify_recycle_roundtrip",
 ]

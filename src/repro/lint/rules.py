@@ -351,39 +351,30 @@ def _self_attr_target(node: ast.AST) -> str | None:
 
 @register_rule(
     "RPR004",
-    name="checkpoint-unsafe-state",
-    summary="generators, lambdas, open handles or __slots__ drift on model classes",
+    name="slots-drift",
+    summary="attributes assigned on a slotted model class but missing from __slots__",
     domains=("sim",),
 )
-def check_checkpoint_safety(ctx: FileContext) -> Iterator[Finding]:
-    """Keep model-object construction state snapshot-walkable.
+def check_slots_drift(ctx: FileContext) -> Iterator[Finding]:
+    """Keep ``__slots__`` in step with the attributes a class assigns.
 
-    The warm-machine sweep path checkpoints a freshly built machine by
-    walking its object graph (:mod:`repro.server.recycle`) and
-    restoring it per cell. State the walker cannot restore faithfully
-    must never be constructed onto a model object:
-
-    * **generators** (``self.x = (... for ...)`` or ``iter(...)``) —
-      a generator's frame cannot be snapshotted; restore would alias
-      a half-consumed iterator across cells;
-    * **lambdas/closures assigned in** ``__init__`` — the walker
-      treats callables as reference leaves, so captured mutable state
-      silently escapes the snapshot;
-    * **open OS handles** (``open(...)``) — a file position is
-      process state, not simulation state;
-    * **__slots__ drift** — a slotted class (no inherited
-      ``__dict__``) assigning attributes outside ``__slots__`` fails
-      at runtime, and slot lists the restore walker replays must
-      match what construction actually assigns.
+    A slotted class with no inherited ``__dict__`` that assigns
+    ``self.x`` for an ``x`` missing from ``__slots__`` raises
+    ``AttributeError`` the first time that assignment runs — which, for
+    a method only reached under some configs or loads, can be deep
+    into a sweep. Hot-path classes (the kernel's ``Event``, requests,
+    cores, meter channels) are slotted for speed, so every attribute
+    any of their methods assigns must be declared.
     """
     for klass in ast.walk(ctx.tree):
         if not isinstance(klass, ast.ClassDef):
             continue
-        slots: set[str] | None = None
-        simple_bases = all(
+        if not all(
             isinstance(base, ast.Name) and base.id == "object"
             for base in klass.bases
-        )
+        ):
+            continue
+        slots: set[str] | None = None
         for stmt in klass.body:
             if (
                 isinstance(stmt, ast.Assign)
@@ -397,64 +388,30 @@ def check_checkpoint_safety(ctx: FileContext) -> Iterator[Finding]:
                 )
             ):
                 slots = {e.value for e in stmt.value.elts}  # type: ignore[misc]
+        if slots is None:
+            continue
         assigned: dict[str, ast.AST] = {}
         for method in klass.body:
             if not isinstance(method, ast.FunctionDef):
                 continue
-            in_init = method.name == "__init__"
             for node in ast.walk(method):
-                targets: list[ast.expr] = []
-                value: ast.expr | None = None
                 if isinstance(node, ast.Assign):
-                    targets, value = node.targets, node.value
+                    targets = node.targets
                 elif isinstance(node, ast.AnnAssign) and node.value is not None:
-                    targets, value = [node.target], node.value
+                    targets = [node.target]
                 else:
                     continue
                 for target in targets:
                     attr = _self_attr_target(target)
-                    if attr is None:
-                        continue
-                    assigned.setdefault(attr, node)
-                    if not in_init or value is None:
-                        continue
-                    if isinstance(value, ast.GeneratorExp):
-                        yield ctx.finding(
-                            "RPR004", node,
-                            f"{klass.name}.{attr} holds a generator "
-                            "expression; generator frames cannot be "
-                            "checkpointed — materialize a tuple/list",
-                        )
-                    elif isinstance(value, ast.Lambda):
-                        yield ctx.finding(
-                            "RPR004", node,
-                            f"{klass.name}.{attr} holds a lambda built in "
-                            "__init__; captured state escapes the "
-                            "checkpoint walker — use a bound method",
-                        )
-                    elif isinstance(value, ast.Call) and isinstance(
-                        value.func, ast.Name
-                    ) and value.func.id in ("open", "iter"):
-                        what = (
-                            "an open OS handle"
-                            if value.func.id == "open"
-                            else "a live iterator"
-                        )
-                        yield ctx.finding(
-                            "RPR004", node,
-                            f"{klass.name}.{attr} holds {what}; process "
-                            "state cannot be checkpoint/restored — open "
-                            "lazily or materialize",
-                        )
-        if slots is not None and simple_bases:
-            for attr, node in assigned.items():
-                if attr not in slots:
-                    yield ctx.finding(
-                        "RPR004", node,
-                        f"{klass.name}.{attr} is assigned but missing from "
-                        "__slots__; the attribute fails at runtime and the "
-                        "restore walker's slot plan cannot cover it",
-                    )
+                    if attr is not None:
+                        assigned.setdefault(attr, node)
+        for attr, node in assigned.items():
+            if attr not in slots:
+                yield ctx.finding(
+                    "RPR004", node,
+                    f"{klass.name}.{attr} is assigned but missing from "
+                    "__slots__; the assignment fails at runtime",
+                )
 
 
 # -- RPR005 ----------------------------------------------------------------

@@ -24,7 +24,6 @@ from repro.power.rapl import RaplInterface
 from repro.server.configs import MachineConfig
 from repro.server.dispatch import Dispatcher
 from repro.server.nic import Nic
-from repro.server.recycle import CheckpointError, MachineCheckpoint
 from repro.server.stats import LatencyRecorder, MachineStats
 from repro.server.ticks import OsTimerTicks
 from repro.sim.engine import Simulator
@@ -74,7 +73,6 @@ class ServerMachine:
                 "sanitize= configures the machine's private simulator; an "
                 "externally-owned sim decides its own sanitize mode"
             )
-        self._owns_sim = sim is None
         self.sim = Simulator(seed, sanitize=sanitize) if sim is None else sim
         self._owns_meter = meter is None
         if meter is not None and meter.sim is not self.sim:
@@ -214,51 +212,9 @@ class ServerMachine:
             self.sim, self.all_idle, self.cores
         )
 
-    # -- warm reuse --------------------------------------------------------
     def checkpoint(self) -> None:
-        """Capture the just-built state so the machine can be recycled.
-
-        Must be called before the simulation runs (the capture replays
-        construction-time events on restore). Raises
-        :class:`~repro.server.recycle.CheckpointError` for machines
-        whose state cannot be snapshotted faithfully — e.g. configs
-        with OS timer ticks armed at construction, or machines built
-        on an externally-owned simulator (restoring would reset a
-        kernel other machines still run on); callers treat those as
-        non-recyclable and rebuild per cell.
-        """
-        if not self._owns_sim:
-            raise CheckpointError(
-                "cannot checkpoint a machine on an externally-owned "
-                "simulator: restore() would reset a kernel shared with "
-                "other machines"
-            )
-        self._checkpoint = MachineCheckpoint(self)
-
-    def recycle(self, config: MachineConfig, seed: int) -> None:
-        """Rewind to the checkpointed fresh state under a new seed.
-
-        The recycled machine is byte-identical to
-        ``ServerMachine(config, seed)`` (pinned by the recycle-vs-fresh
-        golden tests): same component state, same construction event
-        queue, same kernel counters — only the allocations are reused.
-        """
-        checkpoint = getattr(self, "_checkpoint", None)
-        if checkpoint is None:
-            raise RuntimeError(
-                "recycle() needs a checkpoint; call checkpoint() on the "
-                "freshly built machine first"
-            )
-        if config != self.config:
-            raise ValueError(
-                f"machine was built for config {self.config.name!r}; "
-                f"it cannot be recycled into {config.name!r}"
-            )
-        checkpoint.restore(seed)
-        # The restore pass rebuilds this object's __dict__ from the
-        # captured (checkpoint-free) snapshot; re-attach the handle so
-        # the machine stays recyclable.
-        self._checkpoint = checkpoint
+        # perfbench/probes.py still wraps this name at install time; nothing calls it.
+        raise NotImplementedError("warm recycling was removed; build a fresh runtime")
 
     # -- request path ------------------------------------------------------
     def inject(self, request: Request) -> None:

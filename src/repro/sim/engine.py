@@ -14,7 +14,9 @@ cancelled fraction crosses a threshold, at which point the heap is
 compacted in place. Rearm-heavy models (periodic timers, governors,
 NIC idle windows) therefore never grow the queue unboundedly, and
 timers can recycle their event object via :meth:`Simulator.reschedule`
-instead of allocating a fresh :class:`Event` per tick.
+instead of allocating a fresh :class:`Event` per tick. A simulator
+lives for one cell: every cell builds its runtime, kernel included,
+fresh.
 
 The clock is an integer nanosecond count. Scheduling at a non-integral
 time is rejected with :class:`SimulationError` — silently truncating
@@ -463,45 +465,11 @@ class Simulator:
         """Snapshot of the sanitizer's observations (None if off).
 
         Non-destructive — may be taken mid-run; the digest covers
-        every event dispatched since construction or the last
-        :meth:`reset`.
+        every event dispatched since construction.
         """
         if self._sanitizer is None:
             return None
         return self._sanitizer.report()
-
-    # -- lifecycle -------------------------------------------------------
-    def reset(self, seed: int | None = None) -> None:
-        """Return the simulator to its just-constructed state.
-
-        Clears the event queue (pending events are retired, never
-        fired), rewinds the clock and sequence counter to zero, zeroes
-        every kernel counter and re-seeds the random generator — so a
-        reset simulator is indistinguishable from ``Simulator(seed)``.
-        This is the substrate of the warm-machine sweep path: a worker
-        re-runs cells on one machine instead of rebuilding the object
-        graph per cell (see ``ServerMachine.recycle``).
-        """
-        if self._running:
-            raise SimulationError("cannot reset a running simulator")
-        for _, _, event in self._queue:
-            event._in_heap = False
-            event.cancelled = True
-        self._queue.clear()
-        self._now = 0
-        self._seq = 0
-        self._events_processed = 0
-        self._events_reused = 0
-        self._events_cancelled = 0
-        self._cancelled_in_heap = 0
-        self._heap_compactions = 0
-        self._peak_heap_size = 0
-        if self._sanitizer is not None:
-            self._sanitizer = EventStreamSanitizer()
-        if seed is None:
-            seed = self.seed
-        self.rng = np.random.default_rng(seed)
-        self.seed = seed
 
     def peek(self) -> int | None:
         """Time of the next pending event, or None if the queue is empty."""

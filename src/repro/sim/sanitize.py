@@ -8,8 +8,8 @@ routes every dispatched event through an
 
 * **hashes the dispatched event stream** — a SHA-256 over
   ``(time_ns, seq, callback)`` of every fired event. Two runs that
-  claim to be identical (serial vs parallel worker, fresh vs recycled
-  machine) must produce the same digest; any divergence pins the
+  claim to be identical (serial vs parallel worker, two fresh builds
+  of one cell) must produce the same digest; any divergence pins the
   first nondeterministic dispatch to a hash, not a vague diff;
 * **flags same-timestamp handler-order ambiguity** — groups of events
   firing at one timestamp whose relative order is an artifact of
@@ -17,12 +17,7 @@ routes every dispatched event through an
   moments) rather than one call site's explicit ordering. That order
   is still deterministic for a fixed seed, but it is exactly where
   hash-ordered iteration (lint rule RPR003) and refactoring churn
-  silently reorder handlers;
-* **cross-checks checkpoint/restore** — with sanitize on, the
-  recycle walker audits each restore against its capture plan (see
-  :meth:`repro.server.recycle.MachineCheckpoint.restore`), and
-  :func:`repro.lint.verify_recycle_roundtrip` compares fresh-build
-  and recycled event-stream digests end to end.
+  silently reorder handlers.
 
 Sanitize mode trades speed for visibility (every dispatch takes a
 hash update); leave it off for benchmarks and wide sweeps, turn it on

@@ -123,8 +123,8 @@ class Core:
         Reprices the power channel for the *current* life-cycle phase
         immediately, so a mid-run DVFS actuation shows up in the
         integrated energy from this instant on. Specs are frozen plain
-        data: the swap rebinds the reference (checkpoint-safe), never
-        mutates the shared baseline object.
+        data: the swap rebinds the reference, never mutates the shared
+        baseline object.
         """
         if spec is self.spec:
             return

@@ -17,9 +17,8 @@ this package turns "one figure" into data:
   axis grids platform-property overrides (``repro props list``) on
   top of the named configs;
 - :class:`SweepSession` fans cells out over a worker pool and keeps
-  the pool and the workers' warm machines alive across runs — each
-  worker owns (and recycles) its machines, so parallel == serial
-  bit-for-bit;
+  the pool alive across runs; every cell builds a fresh runtime, so
+  parallel == serial bit-for-bit;
 - :class:`ResultStore` caches results under content-hash keys, making
   re-runs of unchanged cells instant (reads are checksum-verified;
   corrupt records are quarantined and re-simulated);
@@ -44,7 +43,6 @@ from repro.sweep.session import (
     SweepResults,
     SweepSession,
     default_workers,
-    recycling_enabled,
 )
 from repro.sweep.spec import (
     ExperimentSpec,
@@ -113,7 +111,6 @@ __all__ = [
     "merge_props",
     "normalize_props",
     "preset_points",
-    "recycling_enabled",
     "resolved_machine_props",
     "result_from_dict",
     "result_to_dict",

@@ -1,13 +1,8 @@
 """Persistent sweep execution sessions.
 
-PR 1 gave sweeps a worker pool; PR 3 multiplied the number of cells a
-run sweeps. At that scale the orchestration loop itself becomes the
-bottleneck for short cells: a cold ``multiprocessing.Pool`` per
-``run()`` call, a fresh :class:`~repro.server.machine.ServerMachine`
-object graph per cell, and chunksize-1 ordered ``imap`` dispatch all
-charge fixed costs that rival the simulation time of an idle cell.
-
-:class:`SweepSession` owns those fixed costs once:
+A sweep of short cells is dominated by fixed per-run costs: a cold
+worker pool per ``run()`` call and chunksize-1 ordered dispatch.
+:class:`SweepSession` owns those costs once:
 
 * a **persistent supervised worker fleet**
   (:class:`~repro.sweep.supervisor.SweepSupervisor`), created lazily
@@ -18,14 +13,9 @@ charge fixed costs that rival the simulation time of an idle cell.
   :class:`~repro.sweep.supervisor.CellPolicy` and — past the retry
   budget — quarantined, letting the sweep degrade gracefully to
   completion instead of aborting (see ``docs/robustness.md``);
-* **warm runtimes** — each worker keeps one runtime per cell
-  warm-slot and recycles it (``ServerMachine.recycle`` /
-  ``FleetMachine.recycle``) instead of rebuilding the component graph
-  per cell — whole fleets included, so a 1,000-server cluster is
-  restored rather than reconstructed; recycled runs are
-  byte-identical to fresh builds (pinned by the recycle-vs-fresh
-  golden tests), and cells whose state cannot be checkpointed fall
-  back to fresh builds automatically;
+* a **fresh build per cell** — every cell constructs its own runtime
+  (``Cell.build``) and the session keeps no reference to it once the
+  result is collected, so no state crosses cells;
 * **unordered dispatch** — cells ship to whichever worker frees up;
   the deterministic cell order of the returned :class:`SweepResults`
   is reconstructed from cache keys, so results stay bit-identical to
@@ -36,10 +26,6 @@ charge fixed costs that rival the simulation time of an idle cell.
   IPC boundary), and the optional ``on_result`` callback sees
   finished cells in deterministic cell order without waiting for the
   whole grid.
-
-Set ``REPRO_SWEEP_RECYCLE=0`` to disable machine recycling (every
-cell builds fresh; useful for A/B measurements and as an escape
-hatch).
 """
 
 from __future__ import annotations
@@ -50,7 +36,6 @@ from time import perf_counter, process_time, sleep
 from typing import Callable, Sequence
 
 from repro.server.experiment import ExperimentResult
-from repro.server.recycle import CheckpointError
 from repro.sweep import chaos
 from repro.sweep.aggregate import CellAggregate, aggregate_over_seeds
 from repro.sweep.spec import ExperimentSpec, SweepSpec
@@ -95,33 +80,7 @@ def default_workers() -> int:
     return max(1, os.cpu_count() or 1)
 
 
-def recycling_enabled() -> bool:
-    """Whether workers reuse machines (``REPRO_SWEEP_RECYCLE`` != 0)."""
-    return os.environ.get("REPRO_SWEEP_RECYCLE", "1") != "0"
-
-
 # -- per-process worker state -------------------------------------------------
-#: One warm runtime per cell warm-slot (``None`` marks a slot whose
-#: state cannot be checkpointed: build fresh every time). A slot is
-#: whatever :meth:`repro.api.Cell.warm_slot` returns — (config name,
-#: property overrides) for single-machine cells, a ``"fleet"``-tagged
-#: server lineup for fleet cells — so two cells sharing a base config
-#: but differing in overrides are different runtimes. Lives at module
-#: level so both pool workers and the in-process serial path amortize
-#: construction the same way.
-_MACHINES: dict[tuple, object | None] = {}
-
-#: Warm *fleet* runtimes pinned at once. One fleet holds N full
-#: machine graphs, so the open-ended per-config policy that is right
-#: for single machines would hoard memory here; the oldest warm fleet
-#: is evicted once the cap is reached (non-recyclable verdicts are
-#: just markers and don't count).
-_FLEET_SLOTS_MAX = 2
-
-
-def _is_fleet_slot(slot: tuple) -> bool:
-    return bool(slot) and slot[0] == "fleet"
-
 #: Worker-side handles on disk stores, keyed by root path.
 _STORES: dict[str, ResultStore] = {}
 
@@ -131,47 +90,6 @@ def _worker_store(root: str) -> ResultStore:
     if store is None:
         store = _STORES[root] = ResultStore(root)
     return store
-
-
-def _runtime_for(spec):
-    """A runtime for ``spec``: recycled when possible, else fresh.
-
-    Works for any :class:`repro.api.Cell` — the cell supplies its
-    construction (``build``), its warm-cache key (``warm_slot``) and
-    its restore step (``recycle``); this function only owns the cache
-    policy.
-    """
-    if not recycling_enabled():
-        return spec.build()
-    slot = spec.warm_slot()
-    if slot in _MACHINES:
-        runtime = _MACHINES[slot]
-        if runtime is None:  # slot known to be non-recyclable
-            return spec.build()
-        spec.recycle(runtime)
-        return runtime
-    runtime = spec.build()
-    try:
-        runtime.checkpoint()
-    except CheckpointError:
-        # Remember only the verdict: keeping the runtime would pin a
-        # full (and soon dirty) component graph per worker for nothing.
-        _MACHINES[slot] = None
-        return runtime
-    if _is_fleet_slot(slot):
-        warm_fleets = [
-            s for s, r in _MACHINES.items()
-            if _is_fleet_slot(s) and r is not None
-        ]
-        if len(warm_fleets) >= _FLEET_SLOTS_MAX:
-            del _MACHINES[warm_fleets[0]]
-    _MACHINES[slot] = runtime
-    return runtime
-
-
-def clear_warm_machines() -> None:
-    """Drop this process's warm-machine cache (tests, memory pressure)."""
-    _MACHINES.clear()
 
 
 #: Task statuses: a worker either served the cell from its local disk
@@ -226,7 +144,7 @@ def _cell_task(payload, attempt: int = 1):
         # api -> session import cycle.
         from repro.api import run_cell
 
-        runtime = _runtime_for(spec)
+        runtime = spec.build()
         sim_start = process_time()
         result = run_cell(spec, runtime=runtime)
         done = process_time()
@@ -322,9 +240,8 @@ class SweepSession:
     workers:
         Fleet size; ``None`` uses :func:`default_workers` (one per
         core, ``REPRO_SWEEP_WORKERS`` override). 1 runs serially
-        in-process — with the same warm-machine reuse and the same
-        retry/quarantine policy (minus deadlines: there is no second
-        process to do the killing).
+        in-process — with the same retry/quarantine policy (minus
+        deadlines: there is no second process to do the killing).
     store:
         Default result store for runs that do not pass their own.
     policy:
@@ -358,7 +275,7 @@ class SweepSession:
         mostly-cached sweep with two misses must not fork a per-core
         fleet for them. A persistent session whose later runs need
         more workers than an earlier small run used just grows the
-        fleet: existing workers (and their warm machines) stay.
+        fleet: existing workers stay.
         """
         if self._closed:
             raise RuntimeError("session is closed")

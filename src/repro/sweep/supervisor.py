@@ -29,10 +29,10 @@ CSV matches the fault-free run exactly (pinned by the chaos tests and
 the CI chaos job; see :mod:`repro.sweep.chaos`).
 
 Workers persist across :meth:`run` calls (the supervisor is owned by
-a :class:`~repro.sweep.session.SweepSession`), so warm-machine reuse
-works exactly as it did under the pool — and growing a session's
-parallelism later just spawns more workers instead of discarding the
-warm ones.
+a :class:`~repro.sweep.session.SweepSession`), so growing a session's
+parallelism later just spawns more workers instead of restarting the
+fleet. A worker whose supervisor dies (even by SIGKILL) exits the
+next time it waits for work.
 """
 
 from __future__ import annotations
@@ -53,6 +53,9 @@ from typing import Any, Callable, Iterable, Iterator
 #: detection lags behind the event (results themselves arrive
 #: immediately via the worker pipes, untouched by this granularity).
 _TICK_S = 0.05
+
+#: How often an idle worker checks that its parent is still alive.
+_ORPHAN_POLL_S = 0.5
 
 #: Failure kinds recorded in attempt histories.
 KIND_ERROR = "error"  # the cell raised
@@ -158,7 +161,21 @@ class QuarantineExhausted(RuntimeError):
         )
 
 
-def _worker_main(conn, task, flush: int, progress_fd: int) -> None:
+def _next_jobs(conn, parent_pid: int):
+    """The next job batch from ``conn``; None once the parent is gone.
+
+    A forked worker inherits the parent's end of its own pipe (and its
+    siblings'), so a SIGKILLed parent never shows up as EOF here: the
+    worker would sleep in ``recv`` forever. Waiting in bounded polls
+    and checking for reparenting in between lets it exit instead.
+    """
+    while not conn.poll(_ORPHAN_POLL_S):
+        if os.getppid() != parent_pid:
+            return None
+    return conn.recv()
+
+
+def _worker_main(conn, task, flush: int, progress_fd: int, parent_pid: int) -> None:
     """Worker loop: receive ``[(key, payload, attempt), ...]``, run, report.
 
     Jobs arrive in batches (one pipe message may carry several
@@ -189,12 +206,15 @@ def _worker_main(conn, task, flush: int, progress_fd: int) -> None:
     finished (results buffered, lost with the corpse) from the cell
     that was actually executing: only the latter is charged a retry
     attempt.
+
+    ``parent_pid`` is the supervisor's PID at spawn: an idle worker
+    exits once it has been reparented (see :func:`_next_jobs`).
     """
     stop = False
     last_send = time.monotonic()
     while not stop:
         try:
-            jobs = conn.recv()
+            jobs = _next_jobs(conn, parent_pid)
         except (EOFError, OSError):
             break
         if jobs is None:
@@ -361,7 +381,7 @@ class SweepSupervisor:
             os.set_blocking(progress_r, False)
         proc = self._ctx.Process(
             target=_worker_main,
-            args=(child_conn, self._task, self._flush, progress_w),
+            args=(child_conn, self._task, self._flush, progress_w, os.getpid()),
             daemon=True,
         )
         proc.start()

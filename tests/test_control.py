@@ -2,9 +2,8 @@
 
 Unit tests drive controllers against a fake plane (pure decision
 logic), lifecycle and deep-gating tests run a real fleet, and the
-acceptance pins mirror the fleet-scale guarantees: a controller-driven
-sweep is serial==parallel byte-identical, and a mid-flight controller
-survives checkpoint→recycle with a byte-identical event stream.
+acceptance pin mirrors the fleet-scale guarantees: a controller-driven
+sweep is serial==parallel byte-identical.
 """
 
 from __future__ import annotations
@@ -40,12 +39,10 @@ from repro.fleet import (
     FleetSpec,
     flatten_fleet_result,
 )
-from repro.lint.sanitizer import verify_recycle_roundtrip
 from repro.power.budgets import CorePowerSpec
 from repro.soc.pstates import SKX_PSTATES
 from repro.sweep import SweepSession, WorkloadPoint
 from repro.units import MS
-from repro.workloads.memcached import MemcachedWorkload
 
 #: Aggressive-but-safe knobs that make lifecycle transitions happen
 #: inside millisecond-scale test windows.
@@ -424,14 +421,12 @@ class TestControlAxisIdentity:
         static = self.cell()
         controlled = self.cell(control="sleepscale")
         assert static.key() != controlled.key()
-        assert static.warm_slot() != controlled.warm_slot()
 
     def test_knobs_change_the_cache_key(self):
         a = self.cell(control="sleepscale")
         b = self.cell(control="sleepscale",
                       control_props=(("fleet.slo_p99_ns", 2_000_000),))
         assert a.key() != b.key()
-        assert a.warm_slot() != b.warm_slot()
 
     def test_explicit_default_knob_aliases_with_omitted(self):
         spelled = self.cell(control="sleepscale",
@@ -461,7 +456,7 @@ class TestControlAxisIdentity:
 
 @pytest.mark.slow
 class TestControlDeterminism:
-    """Serial == parallel, and recycle == fresh, with a live controller."""
+    """Serial == parallel with a live controller."""
 
     def spec(self):
         return FleetSpec(
@@ -490,30 +485,3 @@ class TestControlDeterminism:
             with SweepSession(workers=workers) as session:
                 outputs.append(self.render_csv(session.run(spec.cells())))
         assert outputs[0] == outputs[1]
-
-    @pytest.mark.parametrize("control", ["slo-pack", "sleepscale"])
-    def test_mid_flight_controller_survives_recycle(self, control):
-        # The event-stream digest, not an aggregate: the priming run
-        # leaves the plane mid-flight (parked servers, half-filled
-        # estimator rings, pending tick), and the restored fleet must
-        # replay the target seed bit-for-bit.
-        report = verify_recycle_roundtrip(
-            lambda: MemcachedWorkload(qps=40_000),
-            controlled_cluster(n=4, control=control, knobs=GATE_KNOBS),
-            seed=3,
-            duration_ns=4 * MS,
-        )
-        assert report.match, report.describe()
-
-    def test_recycle_rejects_a_different_controller(self):
-        warm = FleetMachine(controlled_cluster(n=2), seed=1)
-        warm.checkpoint()
-        with pytest.raises(ValueError, match="cannot be recycled"):
-            warm.recycle(controlled_cluster(n=2, control="sleepscale"), seed=1)
-        with pytest.raises(ValueError, match="cannot be recycled"):
-            warm.recycle(
-                controlled_cluster(
-                    n=2, knobs=FAST_KNOBS + (("fleet.slo_p99_ns", 500_000),)
-                ),
-                seed=1,
-            )

@@ -1,27 +1,14 @@
-"""Cluster-scale guarantees: recycle byte-equality, the parked-server
-fast path's conservation laws, and the unified cell protocol."""
+"""Cluster-scale guarantees: the parked-server fast path's
+conservation laws and the unified cell protocol."""
 
 from __future__ import annotations
 
-import csv
-import io
-
-import pytest
-
 from repro.api import Cell, CellRuntime, run_cell
-from repro.fleet import (
-    FLEET_CSV_COLUMNS,
-    ClusterConfig,
-    FleetCell,
-    FleetMachine,
-    flatten_fleet_result,
-)
-from repro.lint.sanitizer import verify_recycle_roundtrip
+from repro.fleet import ClusterConfig, FleetCell, FleetMachine
 from repro.server.experiment import run_experiment
 from repro.server.machine import ServerMachine
 from repro.sweep.spec import ExperimentSpec
 from repro.units import MS
-from repro.workloads.memcached import MemcachedWorkload
 
 NOHZ = (("tick_mode", "nohz_idle"), ("timer_tick_hz", 250))
 
@@ -34,66 +21,6 @@ def diurnal_cell(**overrides):
     )
     base.update(overrides)
     return FleetCell(**base)
-
-
-@pytest.mark.slow
-class TestClusterRecycleGolden:
-    """A recycled fleet is byte-identical to a freshly built one."""
-
-    def test_event_stream_digest_matches(self):
-        # The raw dispatched event stream — stronger than any
-        # aggregate: one stray event after restore diverges the digest.
-        report = verify_recycle_roundtrip(
-            lambda: MemcachedWorkload(qps=40_000),
-            ClusterConfig("CPC1A", 16, "power-aware-pack"),
-            seed=3,
-            duration_ns=4 * MS,
-        )
-        assert report.match, report.describe()
-
-    def test_csv_row_is_byte_identical(self):
-        cell = diurnal_cell()
-        fresh = run_cell(cell)
-        # Warm fleet: built under another seed, dirtied by a full run,
-        # then rewound into this cell's fresh state.
-        dirty = diurnal_cell(
-            workload="memcached", qps=55_000.0, seed=9, duration_ns=3 * MS
-        )
-        warm = dirty.build()
-        warm.checkpoint()
-        run_cell(dirty, runtime=warm)
-        cell.recycle(warm)
-        recycled = run_cell(cell, runtime=warm)
-
-        def row(result) -> str:
-            buffer = io.StringIO()
-            writer = csv.DictWriter(buffer, fieldnames=FLEET_CSV_COLUMNS)
-            writer.writeheader()
-            writer.writerow(flatten_fleet_result(result, spec=cell))
-            return buffer.getvalue()
-
-        assert fresh == recycled
-        assert row(fresh) == row(recycled)
-
-    def test_recycle_retargets_the_routing_knobs(self):
-        # Routing/dispatch/watermark are balancer-only: one warm fleet
-        # serves every routing of the same server lineup.
-        pack = diurnal_cell(n_servers=4)
-        spread = diurnal_cell(n_servers=4, routing="power-aware-spread")
-        assert pack.warm_slot() == spread.warm_slot()
-        warm = pack.build()
-        warm.checkpoint()
-        run_cell(pack, runtime=warm)  # dirty it with the pack cell
-        spread.recycle(warm)
-        assert run_cell(spread, runtime=warm) == run_cell(spread)
-
-    def test_recycle_rejects_a_different_lineup(self):
-        warm = FleetMachine(ClusterConfig("CPC1A", 2), seed=1)
-        warm.checkpoint()
-        with pytest.raises(ValueError, match="cannot be recycled"):
-            warm.recycle(ClusterConfig("CPC1A", 3), seed=1)
-        with pytest.raises(ValueError, match="cannot be recycled"):
-            warm.recycle(ClusterConfig("Cshallow", 2), seed=1)
 
 
 class TestParkedFastPath:

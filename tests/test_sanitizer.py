@@ -1,4 +1,4 @@
-"""The runtime determinism sanitizer and the recycle round-trip check.
+"""The runtime determinism sanitizer.
 
 Counterpart to ``tests/test_lint.py``: the static rules catch hazards
 at the source, the sanitizer catches them in flight. The seeded-fault
@@ -11,10 +11,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.lint import RoundTripReport, verify_recycle_roundtrip
 from repro.server.configs import cpc1a
 from repro.server.machine import ServerMachine
-from repro.server.recycle import CheckpointError
 from repro.sim.engine import Simulator
 from repro.sim.sanitize import (
     AmbiguousTimestamp,
@@ -97,6 +95,18 @@ class TestDigest:
 
     def test_extra_event_changes_digest(self):
         assert _stream_report(3).digest != _stream_report(3, extra=True).digest
+
+    def test_fresh_machines_replay_one_event_stream(self):
+        # Every sweep cell builds its machine fresh, so two builds of
+        # one cell must dispatch the same events in the same order.
+        digests = []
+        for _ in range(2):
+            machine = ServerMachine(cpc1a(), 7, sanitize=True)
+            build_workload("memcached", qps=2000.0).start(machine.sim, machine)
+            machine.run_for(5 * MS)
+            digests.append(machine.sim.sanitize_report())
+        assert digests[0].events > 0
+        assert digests[0] == digests[1]
 
     def test_report_is_non_destructive(self):
         sim = Simulator(0, sanitize=True)
@@ -193,74 +203,6 @@ class TestSeededFaultSetOrderedScheduling:
         detail = report.ambiguities[0]
         assert detail.time_ns == 1_000
         assert detail.events == 2
-
-
-class TestRecycleRoundTrip:
-    def test_memcached_roundtrip_matches(self):
-        report = verify_recycle_roundtrip(
-            lambda: build_workload("memcached", qps=2000.0),
-            cpc1a(),
-            seed=7,
-            duration_ns=5 * MS,
-        )
-        assert report.match is True
-        assert report.fresh.events > 0
-        assert report.fresh.digest == report.recycled.digest
-        assert "match" in report.describe()
-
-    def test_mismatch_is_described_as_divergence(self):
-        good = SanitizerReport(
-            events=10, digest="a" * 64, ambiguous_timestamps=0,
-            max_same_time_events=1,
-        )
-        bad = SanitizerReport(
-            events=11, digest="b" * 64, ambiguous_timestamps=0,
-            max_same_time_events=1,
-        )
-        report = RoundTripReport(
-            seed=0, duration_ns=1_000, fresh=good, recycled=bad
-        )
-        assert report.match is False
-        assert "DIVERGED" in report.describe()
-
-
-class TestRestoreAudit:
-    def _recycled_machine(self):
-        machine = ServerMachine(cpc1a(), 1, sanitize=True)
-        machine.checkpoint()
-        machine.run_for(1 * MS)
-        machine.recycle(cpc1a(), 2)
-        return machine
-
-    def test_faithful_restore_passes_the_audit(self):
-        # recycle() under sanitize runs the audit internally; a clean
-        # return is the pass.
-        machine = self._recycled_machine()
-        assert machine.sim.now == 0
-
-    def test_extra_event_after_restore_fails_length_check(self):
-        # Simulates a component side effect re-arming a timer during
-        # restore: one more live event than the capture plan recorded.
-        machine = self._recycled_machine()
-        machine.sim.schedule(5, handler_a)
-        with pytest.raises(CheckpointError, match="restore audit"):
-            machine._checkpoint._verify_restore(machine.sim)
-
-    def test_swapped_callback_fails_content_check(self):
-        machine = self._recycled_machine()
-        replay = machine._checkpoint._replay
-        time_ns, _fn, args = replay[0]
-        replay[0] = (time_ns, handler_b, args)
-        with pytest.raises(CheckpointError, match="diverged at replay index 0"):
-            machine._checkpoint._verify_restore(machine.sim)
-
-    def test_checkpoint_rejects_generator_attribute(self):
-        # The static rule RPR004 bans this pattern at the source; the
-        # walker is the runtime backstop.
-        machine = ServerMachine(cpc1a(), 1, sanitize=True)
-        machine.stream = (i for i in range(3))
-        with pytest.raises(CheckpointError, match="generator"):
-            machine.checkpoint()
 
 
 def test_ambiguous_timestamp_is_frozen_value_type():

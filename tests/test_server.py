@@ -330,18 +330,6 @@ class TestExternalSimulator:
             # repro-lint: ignore[RPR005]
             ServerMachine(cpc1a(), sim=Simulator(0), meter=PowerMeter(Simulator(0)))
 
-    def test_checkpoint_stays_loud_on_external_sim(self):
-        from repro.server.recycle import CheckpointError
-
-        sim, meter, (a, _b) = self.build_pair()
-        with pytest.raises(CheckpointError, match="externally-owned"):
-            a.checkpoint()
-
-    def test_recycle_without_checkpoint_stays_loud(self):
-        sim, meter, (a, _b) = self.build_pair()
-        with pytest.raises(RuntimeError, match="needs a checkpoint"):
-            a.recycle(a.config, seed=3)
-
     def test_measurement_resets_only_own_channels(self):
         sim, meter, (a, b) = self.build_pair()
         sim.run(until_ns=2 * MS)
@@ -363,6 +351,5 @@ class TestExternalSimulator:
         machine = ServerMachine(cpc1a(), seed=4)
         assert machine.package_domain == "package"
         assert machine.dram_domain == "dram"
-        machine.checkpoint()  # recyclable as before
-        machine.recycle(machine.config, seed=9)
-        assert machine.sim.seed == 9
+        assert machine.meter.sim is machine.sim
+        assert machine.sim.seed == 4

@@ -549,6 +549,30 @@ def wait_for_journal(path: Path, lines: int, timeout_s: float = 120.0):
     raise AssertionError(f"journal never reached {lines} lines")
 
 
+def _proc_stat(pid: int) -> list[str] | None:
+    """The fields of ``/proc/<pid>/stat`` after the command name."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except OSError:
+        return None
+    return stat.rsplit(")", 1)[1].split()
+
+
+def child_pids(pid: int) -> list[int]:
+    children = []
+    for entry in os.listdir("/proc"):
+        if entry.isdigit():
+            fields = _proc_stat(int(entry))
+            if fields is not None and int(fields[1]) == pid:
+                children.append(int(entry))
+    return children
+
+
+def running(pid: int) -> bool:
+    fields = _proc_stat(pid)
+    return fields is not None and fields[0] != "Z"  # a zombie has exited
+
+
 @pytest.mark.slow
 class TestCliRecovery:
     def test_parent_sigkill_then_resume_is_byte_identical(self, tmp_path):
@@ -561,10 +585,17 @@ class TestCliRecovery:
         try:
             # Header + 2 completed cells ~= half the 8-cell grid.
             wait_for_journal(journal, 3)
+            workers = child_pids(proc.pid)
         finally:
             proc.kill()
             proc.wait(timeout=60)
         killed_at = len(journal.read_text().splitlines()) - 1
+        # The orphaned sweep workers notice the dead parent and exit.
+        assert workers
+        deadline = time.monotonic() + 10.0
+        while any(map(running, workers)) and time.monotonic() < deadline:
+            time.sleep(0.1)
+        assert not [pid for pid in workers if running(pid)]
         resume = run_cli(
             GRID + [
                 "--out", "out.csv", "--store", "store", "--resume",

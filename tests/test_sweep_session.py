@@ -1,26 +1,19 @@
-"""The sweep-throughput rework: reset/recycle, sessions, streaming.
+"""Sweep sessions, streaming and the worker task.
 
-Covers the PR-4 overhaul: ``Simulator.reset``, the machine
-checkpoint/restore walker behind ``ServerMachine.recycle`` (with the
-recycle-vs-fresh golden pins across every registered scenario),
-``SweepSession`` (persistent pool, warm machines, batched dispatch,
-ordered streaming, worker-side store short-circuit), worker exception
-labelling, and the hardened atomic store writes.
+Covers ``SweepSession`` (persistent pool, a fresh runtime per cell,
+batched dispatch, ordered streaming, worker-side store short-circuit),
+worker exception labelling, and the hardened atomic store writes.
 """
 
 from __future__ import annotations
 
+import gc
 import json
+import weakref
 
 import pytest
 
 from repro.api import run_cell
-from repro.scenarios import registry as scenarios
-from repro.server.configs import MachineConfig, config_by_name
-from repro.server.experiment import run_experiment
-from repro.server.machine import ServerMachine
-from repro.server.recycle import CheckpointError, MachineCheckpoint
-from repro.sim.engine import Simulator
 from repro.sweep import (
     ExperimentSpec,
     MemoryStore,
@@ -30,145 +23,10 @@ from repro.sweep import (
     SweepSession,
     SweepSpec,
     WorkloadPoint,
-    result_to_dict,
 )
-from repro.sweep.session import _cell_task, clear_warm_machines
+from repro.sweep.session import _cell_task
 from repro.sweep.supervisor import CellPolicy
 from repro.units import MS
-
-
-def result_blob(result) -> str:
-    """Canonical byte-level rendering of a result (kernel included)."""
-    return json.dumps(result_to_dict(result), sort_keys=True)
-
-
-def scenario_point(name: str) -> tuple[float, str]:
-    """A representative (qps, preset) operating point for a scenario."""
-    scenario = scenarios.get(name)
-    if scenario.kind == "rate":
-        rates = [r for r in scenario.default_rates if r > 0]
-        return (rates[0] if rates else 0.0), "low"
-    if scenario.kind == "preset":
-        return 0.0, scenario.default_presets[0]
-    return 0.0, ""  # fixed / trace (bundled default)
-
-
-class TestSimulatorReset:
-    def test_reset_matches_fresh_construction(self):
-        sim = Simulator(seed=3)
-        fired = []
-        sim.schedule(10, fired.append, "a")
-        keep = sim.schedule(20, fired.append, "b")
-        sim.run()
-        keep.cancel()
-        sim.schedule(5, fired.append, "c")
-        sim.reset(7)
-        fresh = Simulator(seed=7)
-        assert sim.kernel_stats() == fresh.kernel_stats()
-        assert sim.now == 0 and sim.heap_size == 0
-        assert sim.seed == 7
-        # The RNG stream restarts from the new seed.
-        assert sim.rng.integers(1 << 30) == fresh.rng.integers(1 << 30)
-
-    def test_reset_defaults_to_original_seed(self):
-        sim = Simulator(seed=11)
-        first = sim.rng.integers(1 << 30)
-        sim.reset()
-        assert sim.seed == 11
-        assert sim.rng.integers(1 << 30) == first
-
-    def test_reset_retires_pending_events(self):
-        sim = Simulator()
-        event = sim.schedule(10, lambda: None)
-        sim.reset()
-        assert not event.pending
-        sim.schedule(1, lambda: None)
-        sim.run()
-        assert sim.events_processed == 1
-
-
-class TestRecycleGolden:
-    @pytest.mark.parametrize("config_name", ["Cshallow", "Cdeep", "CPC1A"])
-    def test_recycled_machine_is_byte_identical_across_scenarios(self, config_name):
-        """One machine recycled through *every* registered scenario
-        must reproduce each fresh-build result exactly — including the
-        kernel counters, the strictest available determinism pin."""
-        config = config_by_name(config_name)
-        machine = ServerMachine(config, seed=1)
-        machine.checkpoint()
-        for index, name in enumerate(scenarios.scenario_names()):
-            qps, preset = scenario_point(name)
-            seed = index % 3 + 1
-            machine.recycle(config_by_name(config_name), seed)
-            warm = run_experiment(
-                scenarios.build(name, qps, preset), config,
-                duration_ns=3 * MS, warmup_ns=1 * MS, seed=seed,
-                machine=machine,
-            )
-            cold = run_experiment(
-                scenarios.build(name, qps, preset), config,
-                duration_ns=3 * MS, warmup_ns=1 * MS, seed=seed,
-            )
-            assert result_blob(warm) == result_blob(cold), (
-                f"{config_name}/{name} diverged on a recycled machine"
-            )
-
-    def test_recycle_requires_checkpoint(self):
-        config = config_by_name("CPC1A")
-        machine = ServerMachine(config, seed=1)
-        with pytest.raises(RuntimeError, match="checkpoint"):
-            machine.recycle(config, 2)
-
-    def test_recycle_rejects_config_mismatch(self):
-        machine = ServerMachine(config_by_name("CPC1A"), seed=1)
-        machine.checkpoint()
-        with pytest.raises(ValueError, match="Cshallow"):
-            machine.recycle(config_by_name("Cshallow"), 1)
-
-    def test_checkpoint_requires_fresh_machine(self):
-        machine = ServerMachine(config_by_name("CPC1A"), seed=1)
-        machine.run_for(1 * MS)
-        with pytest.raises(CheckpointError, match="freshly built"):
-            machine.checkpoint()
-
-    def test_tick_configs_are_not_recyclable(self):
-        """OsTimerTicks holds its staggered arm events, which the
-        walker refuses to snapshot — the worker path falls back to
-        fresh builds for such configs instead of corrupting state."""
-        config = MachineConfig(
-            name="Cshallow", enabled_cstates=("CC1",), governor="shallow",
-            package_policy="none", timer_tick_hz=250,
-        )
-        machine = ServerMachine(config, seed=1)
-        with pytest.raises(CheckpointError, match="Event"):
-            machine.checkpoint()
-
-    def test_walker_rejects_unknown_state_types(self):
-        machine = ServerMachine(config_by_name("CPC1A"), seed=1)
-        machine.latency._strange = bytearray(b"mutable")
-        with pytest.raises(CheckpointError, match="bytearray"):
-            MachineCheckpoint(machine)
-
-    def test_walker_captures_callable_component_state(self):
-        """A repro component that happens to define __call__ is still
-        walked (not skipped as a plain-function leaf): its mutable
-        state must restore like any other component's."""
-        machine = ServerMachine(config_by_name("CPC1A"), seed=1)
-
-        class CallablePolicy:
-            __module__ = "repro.soc.governors"
-
-            def __init__(self):
-                self.history = []
-
-            def __call__(self):  # pragma: no cover - never invoked
-                pass
-
-        machine._policy = CallablePolicy()
-        checkpoint = MachineCheckpoint(machine)
-        machine._policy.history.append(42)
-        checkpoint.restore(1)
-        assert machine._policy.history == []
 
 
 def short_grid(rates=(0, 20_000), configs=("Cshallow", "CPC1A"), seeds=(1, 2)):
@@ -290,6 +148,25 @@ class TestSweepSession:
         with pytest.raises(ValueError):
             SweepSession(workers=0)
 
+    def test_no_runtime_outlives_its_cell(self, monkeypatch):
+        """Every cell builds its own runtime, and the session keeps
+        none of them once the cell's result is collected."""
+        built = []
+        real_build = ExperimentSpec.build
+
+        def build(cell):
+            runtime = real_build(cell)
+            built.append(weakref.ref(runtime))
+            return runtime
+
+        monkeypatch.setattr(ExperimentSpec, "build", build)
+        spec = short_grid(rates=(0,), configs=("CPC1A",), seeds=(1, 2))
+        with SweepSession(workers=1) as session:
+            results = session.run(spec)
+            gc.collect()
+            assert len(results) == len(built) == len(spec)
+            assert [ref() for ref in built] == [None] * len(built)
+
 
 class TestKeyCaching:
     def test_rate_cell_key_is_cached_and_stable(self):
@@ -395,44 +272,6 @@ class TestWorkerExceptions:
         stats = session.last_run_stats
         assert stats["quarantined"] == 1
         assert stats["retries"] == 1
-
-
-class TestNonRecyclableFallback:
-    def test_verdict_is_memoized_per_config(self, monkeypatch):
-        """A config whose checkpoint fails is probed once; later cells
-        build fresh without re-walking the machine graph."""
-        from repro.sweep.session import _runtime_for
-
-        clear_warm_machines()
-        attempts = []
-
-        def failing_checkpoint(self):
-            attempts.append(1)
-            raise CheckpointError("injected")
-
-        monkeypatch.setattr(ServerMachine, "checkpoint", failing_checkpoint)
-        spec = ExperimentSpec(
-            workload="idle", qps=0.0, preset="low", config="CPC1A",
-            seed=1, duration_ns=3 * MS, warmup_ns=1 * MS,
-        )
-        first = _runtime_for(spec)
-        second = _runtime_for(spec)
-        assert first is not second  # fresh build per cell
-        assert attempts == [1]  # the verdict was remembered
-        clear_warm_machines()
-
-
-class TestRecyclingToggle:
-    def test_env_toggle_disables_machine_reuse(self, monkeypatch):
-        clear_warm_machines()
-        spec = short_grid(rates=(0,), configs=("CPC1A",), seeds=(1, 2))
-        with SweepSession(workers=1) as session:
-            enabled = session.run(spec)
-        monkeypatch.setenv("REPRO_SWEEP_RECYCLE", "0")
-        clear_warm_machines()
-        with SweepSession(workers=1) as session:
-            disabled = session.run(spec)
-        assert enabled.results == disabled.results
 
 
 class TestAtomicStore:
