@@ -51,7 +51,6 @@ __all__ = [
     "FleetCell",
     "FleetResult",
     "FleetSpec",
-    "RunJournal",
     "SweepSession",
     "SweepSpec",
     "measure_window",
@@ -164,8 +163,4 @@ def __getattr__(name: str) -> Any:
         from repro.sweep.supervisor import CellPolicy
 
         return CellPolicy
-    if name == "RunJournal":
-        from repro.sweep.journal import RunJournal
-
-        return RunJournal
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

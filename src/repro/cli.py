@@ -66,12 +66,12 @@ dead workers respawn, failing cells retry under
 ``--max-retries``/``--retry-backoff``, stuck cells are killed past
 ``--cell-deadline``, and cells that exhaust their budget are
 quarantined (report written beside the CSV; exit code 1) while the
-rest of the grid completes. With ``--store``, a crash-safe journal
-records completed cells so ``--resume`` finishes an interrupted
-campaign without re-simulating finished work; Ctrl-C flushes the
-partial CSV durably and exits 130. ``repro store verify`` / ``repro
-store gc`` audit and clean a store whose records may have been torn
-by crashes.
+rest of the grid completes. With ``--store``, every finished cell is
+on disk the moment it completes, so rerunning an interrupted campaign
+with the same ``--store`` simulates only the cells still missing;
+Ctrl-C flushes the partial CSV durably and exits 130. ``repro store
+verify`` / ``repro store gc`` audit and clean a store whose records
+may have been torn by crashes.
 """
 
 from __future__ import annotations
@@ -103,9 +103,7 @@ from repro.server.experiment import ExperimentResult, run_experiment
 from repro.sweep import (
     CellPolicy,
     ExperimentSpec,
-    JournalError,
     ResultStore,
-    RunJournal,
     StreamingCsvWriter,
     SweepResults,
     SweepSession,
@@ -117,7 +115,6 @@ from repro.sweep import (
 )
 from repro.units import MS
 from repro.workloads.base import NullWorkload
-from repro.workloads.factory import build_workload, workload_names
 
 #: Historical grid defaults (memcached's rate axis; mysql/kafka's
 #: shared presets) used when neither ``--scenario`` nor an explicit
@@ -193,11 +190,6 @@ def _add_progress_flag(parser: argparse.ArgumentParser) -> None:
 
 def _add_robustness_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
-        "--resume", action="store_true",
-        help="skip cells journaled by a previous run of this store "
-             "(requires --store; the journal lives beside it)",
-    )
-    parser.add_argument(
         "--max-retries", type=int, default=3, metavar="N",
         help="extra attempts per cell before quarantine (default 3)",
     )
@@ -226,10 +218,12 @@ def _add_grid_args(
     defaults; ``fleet`` admits fleet-scoped ``--set`` properties.
     """
     parser.add_argument(
-        "--workload", default="memcached", choices=list(workload_names())
+        "--workload", default="memcached",
+        choices=list(scenario_registry.scenario_names()),
     )
     parser.add_argument(
-        "--scenario", default=None, choices=list(workload_names()),
+        "--scenario", default=None,
+        choices=list(scenario_registry.scenario_names()),
         help="sweep a registered scenario on its default grid "
              "(overrides --workload; see 'repro scenarios list')",
     )
@@ -291,28 +285,6 @@ def _cell_policy(args: argparse.Namespace) -> CellPolicy:
         raise SystemExit(f"invalid retry policy: {error}") from None
 
 
-def _open_journal(args: argparse.Namespace, store) -> RunJournal | None:
-    """The run journal for this sweep (``<store>/journal.jsonl``).
-
-    Without a store there is nothing to resume from (results would be
-    re-simulated regardless), so no journal is kept and ``--resume``
-    is rejected.
-    """
-    if store is None:
-        if args.resume:
-            raise SystemExit(
-                "--resume requires --store (completed cells are "
-                "served from the store; the journal lives beside it)"
-            )
-        return None
-    try:
-        return RunJournal(
-            Path(store.root) / "journal.jsonl", resume=args.resume
-        )
-    except JournalError as error:
-        raise SystemExit(str(error)) from None
-
-
 def _quarantine_report_path(args: argparse.Namespace) -> Path:
     if args.quarantine_report:
         return Path(args.quarantine_report)
@@ -337,14 +309,12 @@ def _handle_quarantined(args: argparse.Namespace, results) -> int:
 
 
 def _interrupt_summary(
-    args: argparse.Namespace, writer, journal, total: int, store
+    args: argparse.Namespace, writer, total: int, store
 ) -> int:
     """Ctrl-C: make partial output durable and report what remains."""
     completed = writer.rows
     writer.close()
-    if journal is not None:
-        journal.close()
-    hint = " (finish with --resume)" if store is not None else ""
+    hint = "" if store is None else " (rerun with the same --store to finish)"
     print(
         f"interrupted: {completed}/{total} row(s) durable in {args.out}; "
         f"{max(0, total - completed)} cell(s) remaining{hint}",
@@ -398,7 +368,8 @@ def summarize(result: ExperimentResult) -> str:
 
 def _add_run_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
-        "--workload", default="memcached", choices=list(workload_names())
+        "--workload", default="memcached",
+        choices=list(scenario_registry.scenario_names()),
     )
     parser.add_argument(
         "--qps", type=float, default=20_000, help="offered rate (rate-driven scenarios)"
@@ -414,7 +385,7 @@ def _add_run_args(parser: argparse.ArgumentParser) -> None:
 def _build_cli_workload(args: argparse.Namespace):
     """Build the run/compare workload with CLI-friendly errors."""
     try:
-        return build_workload(args.workload, args.qps, args.preset)
+        return scenario_registry.build(args.workload, args.qps, args.preset)
     except (KeyError, ValueError, OSError) as error:
         # OSError: a trace workload naming a missing/unreadable file.
         raise SystemExit(f"invalid workload: {error}") from None
@@ -765,32 +736,27 @@ def cmd_props(args: argparse.Namespace) -> int:
 
 
 def _write_stats_json(
-    args: argparse.Namespace, results, total: int, workers: int, rows: int,
-    run_stats: dict | None = None,
+    args: argparse.Namespace, run_stats: dict, workers: int, rows: int
 ) -> None:
-    """Persist machine-readable run accounting for CI assertions."""
-    unique = len({cell.key() for cell in results.cells})
-    run_stats = run_stats or {}
-    quarantined = len(results.quarantined)
+    """Persist a run's ``last_run_stats`` accounting for CI assertions."""
     stats_path = Path(args.stats_json)
     stats_path.parent.mkdir(parents=True, exist_ok=True)
     stats_path.write_text(json.dumps({
-        "cells": total,
-        "unique_cells": unique + quarantined,
-        "cache_hits": results.cache_hits,
-        "cache_misses": unique + quarantined - results.cache_hits,
+        "cells": run_stats["cells"],
+        "unique_cells": run_stats["unique_cells"],
+        "cache_hits": run_stats["cache_hits"],
+        "cache_misses": run_stats["unique_cells"] - run_stats["cache_hits"],
         "workers": workers,
         "rows": rows,
         "csv": str(args.out),
         # Fault-tolerance counters (see docs/robustness.md).
-        "simulated": run_stats.get("simulated", 0),
-        "retries": run_stats.get("retries", 0),
-        "requeues": run_stats.get("requeues", 0),
-        "deadline_kills": run_stats.get("deadline_kills", 0),
-        "worker_deaths": run_stats.get("worker_deaths", 0),
-        "respawns": run_stats.get("respawns", 0),
-        "quarantined": quarantined,
-        "journal_skipped": run_stats.get("journal_skipped", 0),
+        "simulated": run_stats["simulated"],
+        "retries": run_stats["retries"],
+        "requeues": run_stats["requeues"],
+        "deadline_kills": run_stats["deadline_kills"],
+        "worker_deaths": run_stats["worker_deaths"],
+        "respawns": run_stats["respawns"],
+        "quarantined": run_stats["quarantined"],
     }, indent=1, sort_keys=True) + "\n")
     print(f"wrote run stats to {stats_path}")
 
@@ -813,33 +779,26 @@ def _run_grid(
     """
     workers = _resolve_workers(args.workers)
     store = ResultStore(args.store) if args.store else None
-    journal = _open_journal(args, store)
-    try:
-        with SweepSession(workers=workers, policy=_cell_policy(args)) as session, \
-                StreamingCsvWriter(args.out, columns, flatten) as writer:
-            try:
-                results = session.run(
-                    cells,
-                    store=store,
-                    progress=_progress_for(args, len(cells)),
-                    on_result=lambda cell, result, cached: writer.write(
-                        result, spec=cell),
-                    journal=journal,
-                )
-            except KeyboardInterrupt:
-                return _interrupt_summary(args, writer, journal, len(cells), store)
-            count = writer.rows
-    finally:
-        if journal is not None:
-            journal.close()
+    with SweepSession(workers=workers, policy=_cell_policy(args)) as session, \
+            StreamingCsvWriter(args.out, columns, flatten) as writer:
+        try:
+            results = session.run(
+                cells,
+                store=store,
+                progress=_progress_for(args, len(cells)),
+                on_result=lambda cell, result, cached: writer.write(
+                    result, spec=cell),
+            )
+        except KeyboardInterrupt:
+            return _interrupt_summary(args, writer, len(cells), store)
+        count = writer.rows
     print(
         f"swept {len(cells)} {noun} on {workers} worker(s); "
         f"{results.cache_hits} cache hit(s)"
     )
     print(f"wrote {count} rows to {args.out}")
     if args.stats_json:
-        _write_stats_json(args, results, len(cells), workers, count,
-                          run_stats=session.last_run_stats)
+        _write_stats_json(args, session.last_run_stats, workers, count)
     exit_code = _handle_quarantined(args, results)
     print(table(results))
     return exit_code
@@ -1044,8 +1003,7 @@ def cmd_store(args: argparse.Namespace) -> int:
     if args.store_cmd == "verify":
         report = store.verify(quarantine=not args.no_quarantine)
         print(
-            f"checked {report['checked']} record(s): {report['ok']} ok "
-            f"({report['legacy']} legacy, no checksum), "
+            f"checked {report['checked']} record(s): {report['ok']} ok, "
             f"{len(report['corrupt'])} corrupt"
         )
         for entry in report["corrupt"]:

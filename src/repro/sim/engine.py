@@ -352,26 +352,6 @@ class Simulator:
         self._heap_compactions += 1
 
     # -- execution -------------------------------------------------------
-    def step(self) -> bool:
-        """Execute the next pending event. Returns False if none left."""
-        queue = self._queue
-        pop = _heappop
-        sanitizer = self._sanitizer
-        while queue:
-            time_ns, _seq, event = pop(queue)
-            event._in_heap = False
-            if event.cancelled:
-                self._cancelled_in_heap -= 1
-                continue
-            self._now = time_ns
-            event.fired = True
-            self._events_processed += 1
-            if sanitizer is not None:
-                sanitizer.observe(time_ns, _seq, event.fn)
-            event.fn(*event.args)
-            return True
-        return False
-
     def run(self, until_ns: int | None = None) -> None:
         """Run until the queue drains or the clock reaches ``until_ns``.
 
@@ -387,9 +367,10 @@ class Simulator:
             self._run_sanitized(until_ns)
             return
         self._running = True
-        # The loops below are step() inlined with hoisted locals: they
-        # retire the vast majority of all events, so attribute lookups
-        # and the extra method call per event are worth eliminating.
+        # The dispatch loops below keep their state in hoisted locals:
+        # they retire the vast majority of all events, so attribute
+        # lookups and any extra method call per event are worth
+        # eliminating.
         queue = self._queue
         pop = _heappop
         try:

@@ -21,12 +21,13 @@ this package turns "one figure" into data:
   parallel == serial bit-for-bit;
 - :class:`ResultStore` caches results under content-hash keys, making
   re-runs of unchanged cells instant (reads are checksum-verified;
-  corrupt records are quarantined and re-simulated);
+  corrupt records are quarantined and re-simulated); it is also the
+  record of finished work, so rerunning an interrupted campaign
+  against the same store simulates only the cells it lacks;
 - :class:`SweepSupervisor` + :class:`CellPolicy` make the execution
   plane fault-tolerant: dead workers respawn, stuck cells get killed
-  and retried, exhausted cells are quarantined
-  (:class:`QuarantinedCell`), and :class:`RunJournal` makes a
-  long campaign resumable after SIGKILL (``repro sweep --resume``);
+  and retried, and exhausted cells are quarantined
+  (:class:`QuarantinedCell`);
 - :func:`aggregate_over_seeds` folds per-seed repeats into mean/CI.
 """
 
@@ -37,7 +38,6 @@ from repro.sweep.aggregate import (
     MetricStats,
     aggregate_over_seeds,
 )
-from repro.sweep.journal import JOURNAL_SCHEMA, JournalError, RunJournal
 from repro.sweep.session import (
     SweepCellError,
     SweepResults,
@@ -73,7 +73,6 @@ from repro.sweep.store import (
 from repro.sweep.supervisor import (
     CellPolicy,
     QuarantinedCell,
-    QuarantineExhausted,
     SweepSupervisor,
 )
 
@@ -83,16 +82,12 @@ __all__ = [
     "CellAggregate",
     "CellPolicy",
     "ExperimentSpec",
-    "JOURNAL_SCHEMA",
-    "JournalError",
     "MemoryStore",
     "MetricStats",
     "PropPairs",
     "PropValue",
-    "QuarantineExhausted",
     "QuarantinedCell",
     "ResultStore",
-    "RunJournal",
     "StoreCorruption",
     "StreamingCsvWriter",
     "SweepCellError",

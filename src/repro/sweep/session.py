@@ -22,10 +22,10 @@ worker pool per ``run()`` call and chunksize-1 ordered dispatch.
   serial runs (retried cells re-simulate deterministically, so even a
   chaos-ridden run converges to the same bytes);
 * **streaming** — store records are written as results arrive (by the
-  worker itself for disk stores, so cached results never cross the
-  IPC boundary), and the optional ``on_result`` callback sees
-  finished cells in deterministic cell order without waiting for the
-  whole grid.
+  worker itself for disk stores, so a finished cell survives the
+  death of the parent and a rerun with the same store picks it up),
+  and the optional ``on_result`` callback sees finished cells in
+  deterministic cell order without waiting for the whole grid.
 """
 
 from __future__ import annotations
@@ -45,7 +45,6 @@ from repro.sweep.supervisor import (
     AttemptFailure,
     CellPolicy,
     QuarantinedCell,
-    QuarantineExhausted,
     SweepSupervisor,
 )
 
@@ -80,24 +79,6 @@ def default_workers() -> int:
     return max(1, os.cpu_count() or 1)
 
 
-# -- per-process worker state -------------------------------------------------
-#: Worker-side handles on disk stores, keyed by root path.
-_STORES: dict[str, ResultStore] = {}
-
-
-def _worker_store(root: str) -> ResultStore:
-    store = _STORES.get(root)
-    if store is None:
-        store = _STORES[root] = ResultStore(root)
-    return store
-
-
-#: Task statuses: a worker either served the cell from its local disk
-#: store ("hit", result stays on disk), simulated and persisted it
-#: ("stored"), or simulated with no disk store in play ("fresh").
-_HIT, _STORED, _FRESH = "hit", "stored", "fresh"
-
-
 def _cell_label(spec) -> str:
     """A human-readable cell name that never raises (quarantine reports)."""
     try:
@@ -113,28 +94,21 @@ def _cell_label(spec) -> str:
 
 
 def _cell_task(payload, attempt: int = 1):
-    """Worker task: run one cell; returns (key, status, result, timings).
+    """Worker task: run one cell; returns (key, result, build_s, simulate_s).
 
     ``payload`` is ``(spec, store_root)``; ``attempt`` is the 1-based
     attempt number the supervisor is on (feeds the deterministic chaos
     rolls, so a cell that was killed on attempt 1 rolls fresh dice on
-    attempt 2). With a disk store the worker short-circuits locally:
-    if the record already exists (for example a concurrent sweep
-    sharing the store produced it after this run's cache pre-pass),
-    nothing is simulated and no result is shipped back — the parent
-    re-reads it from disk. Freshly simulated results are persisted
-    worker-side, streaming the store writes instead of funnelling them
-    through the parent.
+    attempt 2). With a disk store the worker persists the result
+    itself, so a finished cell is on disk even if the parent dies
+    before it hears back. The cell was a miss in the session's cache
+    pre-pass; if a concurrent sweep sharing the store wrote the record
+    since, the atomic put replaces it with identical bytes.
     """
     spec, store_root = payload
     try:
         key = spec.key()
         chaos.on_cell_start(key, attempt)
-        store = None
-        if store_root is not None:
-            store = _worker_store(store_root)
-            if key in store:
-                return key, _HIT, None, 0.0, 0.0
         # CPU seconds, not wall: with more workers than cores the
         # wall clock charges descheduled time to whichever cell was
         # in flight, which would garble the build/simulate split.
@@ -148,10 +122,9 @@ def _cell_task(payload, attempt: int = 1):
         sim_start = process_time()
         result = run_cell(spec, runtime=runtime)
         done = process_time()
-        if store is not None:
-            store.put(key, result, spec=spec)
-            return key, _STORED, result, sim_start - build_start, done - sim_start
-        return key, _FRESH, result, sim_start - build_start, done - sim_start
+        if store_root is not None:
+            ResultStore(store_root).put(key, result, spec=spec)
+        return key, result, sim_start - build_start, done - sim_start
     except SweepCellError:
         raise
     except Exception as error:
@@ -316,7 +289,6 @@ class SweepSession:
         on_result: (
             Callable[[ExperimentSpec, ExperimentResult, bool], None] | None
         ) = None,
-        journal=None,
     ):
         """Run every cell; returns results in deterministic cell order.
 
@@ -331,21 +303,16 @@ class SweepSession:
         ``on_result`` call and no row; they are listed on
         ``SweepResults.quarantined`` (and counted in
         ``last_run_stats``) instead.
-        ``journal`` is an optional
-        :class:`~repro.sweep.journal.RunJournal`: every completed cell
-        key is appended (durably) as it settles, and cache hits that
-        were already journaled before this run are surfaced as
-        ``journal_skipped`` — the ``--resume`` accounting.
+        With a disk store, the store is the record of finished work:
+        rerunning an interrupted grid against the same store serves
+        every cell that finished from it and simulates only the rest.
         """
         if self._closed:
             raise RuntimeError("session is closed")
         if store is None:
             store = self.store
-        policy = self.policy
         cells = spec.cells() if isinstance(spec, SweepSpec) else list(spec)
         wall_start = perf_counter()
-        journal_start = journal.completed if journal is not None else frozenset()
-        journal_skipped = 0
         by_key: dict[str, ExperimentResult] = {}
         pending_by_key: dict[str, ExperimentSpec] = {}
         cache_hits = 0
@@ -361,10 +328,6 @@ class SweepSession:
             if cached is not None:
                 by_key[key] = cached
                 cache_hits += 1
-                if key in journal_start:
-                    journal_skipped += 1
-                if journal is not None:
-                    journal.record(key, _cell_label(cell))
                 if progress is not None:
                     progress(cell)
             else:
@@ -397,7 +360,6 @@ class SweepSession:
         flush_ready()
         build_s = 0.0
         simulate_s = 0.0
-        worker_hits = 0
         simulated = 0
         self._last_parallelism = 1
         self._serial_faults = {"retries": 0, "quarantined": 0}
@@ -405,51 +367,24 @@ class SweepSession:
             # Fault counters are per-run in last_run_stats.
             self._supervisor.stats = SweepSupervisor._zero_stats()
         store_root = (str(store.root) if isinstance(store, ResultStore) else None)
-        try:
-            for tag, body in self._execute(
-                pending, store_root, progress, pending_by_key
-            ):
-                if tag == "quarantined":
-                    quarantined.append(body)
-                    quarantined_keys.add(body.key)
-                    flush_ready()
-                    continue
-                key, status, result, cell_build_s, cell_sim_s = body
+        # Workers persist disk-store records themselves; any other store
+        # is filled here in the parent.
+        parent_store = None if store_root is not None else store
+        for tag, body in self._execute(
+            pending, store_root, progress, pending_by_key
+        ):
+            if tag == "quarantined":
+                quarantined.append(body)
+                quarantined_keys.add(body.key)
+            else:
+                key, result, cell_build_s, cell_sim_s = body
                 build_s += cell_build_s
                 simulate_s += cell_sim_s
-                if status == _HIT:
-                    # Another process produced the record after our
-                    # cache pre-pass; read it from disk rather than
-                    # re-simulating (and rather than shipping it over
-                    # IPC).
-                    result = store.get(key)
-                    if result is None:  # racing deletion/corruption
-                        cell = pending_by_key[key]
-                        tag, body = self._run_serial_cell(
-                            cell, (cell, None), policy
-                        )
-                        if tag == "quarantined":
-                            quarantined.append(body)
-                            quarantined_keys.add(key)
-                            flush_ready()
-                            continue
-                        key, status, result, b, s = body
-                        build_s += b
-                        simulate_s += s
-                    else:
-                        worker_hits += 1
-                if status != _HIT:
-                    simulated += 1
+                simulated += 1
                 by_key[key] = result
-                if store is not None and status == _FRESH:
-                    store.put(key, result, spec=pending_by_key[key])
-                if journal is not None:
-                    journal.record(key, _cell_label(pending_by_key[key]))
-                flush_ready()
-        except QuarantineExhausted as error:
-            # The session-level contract for on_exhausted="raise" has
-            # always been SweepCellError; keep it.
-            raise SweepCellError(str(error)) from error
+                if parent_store is not None:
+                    parent_store.put(key, result, spec=pending_by_key[key])
+            flush_ready()
         completed_cells = (
             [c for c in cells if c.key() not in quarantined_keys]
             if quarantined_keys
@@ -465,10 +400,8 @@ class SweepSession:
             "cells": len(cells),
             "unique_cells": len(by_key) + len(quarantined_keys),
             "cache_hits": cache_hits,
-            "worker_store_hits": worker_hits,
             "dispatched": len(pending),
             "simulated": simulated,
-            "journal_skipped": journal_skipped,
             # The parallelism actually used by this run (a persistent
             # fleet may be larger than a later, smaller run needed).
             "workers": self._last_parallelism,
@@ -484,14 +417,14 @@ class SweepSession:
             quarantined=quarantined,
         )
 
-    def _run_serial_cell(self, cell, payload, policy: CellPolicy):
+    def _run_serial_cell(self, cell, payload):
         """Run one cell in-process under the retry/quarantine policy.
 
-        Mirrors the supervised path for ``workers=1`` (and for the
-        parent-side fallback re-simulation), except that deadlines are
-        not enforced — there is no second process to kill a stuck
-        cell from.
+        Mirrors the supervised path for ``workers=1``, except that
+        deadlines are not enforced — there is no second process to
+        kill a stuck cell from.
         """
+        policy = self.policy
         failures: list[AttemptFailure] = []
         attempt = 1
         while True:
@@ -499,8 +432,6 @@ class SweepSession:
             try:
                 return "done", _cell_task(payload, attempt)
             except Exception as error:
-                if policy.on_exhausted == "raise" and attempt > policy.max_retries:
-                    raise
                 detail = (
                     f"{type(error).__name__}: {error}\n{traceback.format_exc()}"
                 )
@@ -530,7 +461,7 @@ class SweepSession:
             for cell, payload in zip(pending, payloads):
                 if progress is not None:
                     progress(cell)
-                yield self._run_serial_cell(cell, payload, self.policy)
+                yield self._run_serial_cell(cell, payload)
             return
         supervisor = self._ensure_supervisor(len(pending))
         self._last_parallelism = min(supervisor.size, len(pending))

@@ -8,8 +8,9 @@ commit next to the figures they produced. A :class:`MemoryStore`
 offers the same interface without touching disk (used to share
 measurements between benches inside one pytest session).
 
-Records carry a sha256 checksum over their payload; reads verify it,
-and a record that is truncated, garbled, or fails its checksum is
+Records carry a sha256 checksum over their payload and a tag naming
+the result type; reads verify both, and a record that is truncated,
+garbled, untagged, or lacks or fails its checksum is
 *sidecar-quarantined* (moved to ``<store>/quarantine/``) and treated
 as a miss — the cell re-simulates and rewrites a good record, and the
 corrupt bytes stay inspectable instead of poisoning later runs.
@@ -68,9 +69,8 @@ def _encode_result(result) -> tuple[str, dict]:
 
 
 def _decode_result(kind: str | None, data: dict):
-    """Inverse of :func:`_encode_result` (records predating the tag
-    are experiment records)."""
-    if kind in (None, "experiment"):
+    """Inverse of :func:`_encode_result`."""
+    if kind == "experiment":
         return result_from_dict(data)
     if kind == "fleet":
         from repro.fleet.result import FleetResult
@@ -250,17 +250,10 @@ class MemoryStore:
 
     def __init__(self) -> None:
         self._results: dict[str, ExperimentResult] = {}
-        self.hits = 0
-        self.misses = 0
 
     def get(self, key: str) -> ExperimentResult | None:
         """Cached result for ``key``, or None."""
-        result = self._results.get(key)
-        if result is None:
-            self.misses += 1
-        else:
-            self.hits += 1
-        return result
+        return self._results.get(key)
 
     def put(self, key: str, result: ExperimentResult,
             spec: ExperimentSpec | None = None) -> None:
@@ -285,22 +278,19 @@ class ResultStore:
     def __init__(self, root: str | Path):
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
-        self.hits = 0
-        self.misses = 0
         #: Corrupt records moved aside by reads/verify this session.
         self.quarantined = 0
 
     def _path(self, key: str) -> Path:
         return self.root / f"{key}.json"
 
-    def _read_record(self, path: Path) -> dict:
-        """Parse and integrity-check one record file.
+    def _load(self, path: Path):
+        """Parse, integrity-check and decode one record file.
 
         Raises ``OSError`` (typically ``FileNotFoundError``) when the
         file cannot be read at all, and :class:`StoreCorruption` when
-        it reads but is truncated, garbled, fails its checksum, or
-        does not decode into a known result type. Records predating
-        the checksum field (no ``sha256``) are accepted as-is.
+        it reads but is truncated, garbled, lacks or fails its
+        checksum, or does not decode into a known result type.
         """
         try:
             record = json.loads(path.read_text())
@@ -310,17 +300,15 @@ class ResultStore:
             ) from None
         if not isinstance(record, dict) or "result" not in record:
             raise StoreCorruption(f"record {path.name} lacks a result payload")
-        expected = record.get("sha256")
-        if expected is not None and _checksum(record["result"]) != expected:
+        if record.get("sha256") != _checksum(record["result"]):
             raise StoreCorruption(f"record {path.name} fails its checksum")
         try:
-            _decode_result(record.get("kind"), record["result"])
+            return _decode_result(record.get("kind"), record["result"])
         except (ValueError, KeyError, TypeError) as error:
             raise StoreCorruption(
                 f"record {path.name} does not decode: "
                 f"{type(error).__name__}: {error}"
             ) from None
-        return record
 
     def _quarantine(self, path: Path) -> Path | None:
         """Move a corrupt record into ``quarantine/`` (never raises)."""
@@ -342,24 +330,20 @@ class ResultStore:
         """Load the cached result for ``key``, or None on a miss.
 
         A missing record is a plain miss. A record that exists but is
-        corrupt — truncated/garbage JSON, a failed checksum, a payload
-        that does not decode — is sidecar-quarantined and *then*
-        counted as a miss: the cell re-simulates and the rewritten
+        corrupt — truncated/garbage JSON, a missing or failed checksum,
+        a payload that does not decode — is sidecar-quarantined and
+        *then* treated as a miss: the cell re-simulates and the rewritten
         record replaces the bad one, while the corrupt bytes stay
         inspectable under ``quarantine/``.
         """
         path = self._path(key)
         try:
-            record = self._read_record(path)
+            return self._load(path)
         except OSError:
-            self.misses += 1
             return None
         except StoreCorruption:
             self._quarantine(path)
-            self.misses += 1
             return None
-        self.hits += 1
-        return _decode_result(record.get("kind"), record["result"])
 
     def put(self, key: str, result: ExperimentResult,
             spec: ExperimentSpec | None = None) -> None:
@@ -400,18 +384,17 @@ class ResultStore:
     def verify(self, quarantine: bool = True) -> dict:
         """Integrity-check every record; optionally quarantine bad ones.
 
-        Returns a report dict: ``checked``/``ok``/``legacy`` counts
-        (legacy = readable records predating the checksum field) and a
+        Returns a report dict: ``checked``/``ok`` counts and a
         ``corrupt`` list of ``{"file", "error"}`` entries. With
         ``quarantine=True`` (the default, what ``repro store verify``
         uses) corrupt records are moved into ``quarantine/`` so the
         next sweep re-simulates those cells.
         """
-        report: dict = {"checked": 0, "ok": 0, "legacy": 0, "corrupt": []}
+        report: dict = {"checked": 0, "ok": 0, "corrupt": []}
         for path in sorted(self.root.glob("*.json")):
             report["checked"] += 1
             try:
-                record = self._read_record(path)
+                self._load(path)
             except OSError as error:  # pragma: no cover - racing delete
                 report["corrupt"].append(
                     {"file": path.name, "error": f"unreadable: {error}"}
@@ -423,8 +406,6 @@ class ResultStore:
                     self._quarantine(path)
                 continue
             report["ok"] += 1
-            if record.get("sha256") is None:
-                report["legacy"] += 1
         return report
 
     def gc(self) -> dict:

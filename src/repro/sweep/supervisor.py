@@ -12,8 +12,9 @@ drain with an explicit dispatch loop over plain ``Process`` workers:
 * **death detection + respawn** — dead workers (any exit: SIGKILL,
   ``os._exit``, segfault) are detected on the supervision tick, their
   in-flight cell is requeued, and a replacement is spawned under
-  exponential backoff (so a crash-looping environment degrades to
-  slow progress, not a fork bomb);
+  exponential backoff (``_RESPAWN_BACKOFF_S`` doubling up to
+  ``_RESPAWN_BACKOFF_CAP_S``, so a crash-looping environment degrades
+  to slow progress, not a fork bomb);
 * **per-cell deadlines** — a cell that exceeds
   :attr:`CellPolicy.deadline_s` wall-clock gets its worker killed and
   the cell requeued (stuck simulations cannot wedge the campaign);
@@ -32,7 +33,10 @@ Workers persist across :meth:`run` calls (the supervisor is owned by
 a :class:`~repro.sweep.session.SweepSession`), so growing a session's
 parallelism later just spawns more workers instead of restarting the
 fleet. A worker whose supervisor dies (even by SIGKILL) exits the
-next time it waits for work.
+next time it waits for work. With a disk store, workers write each
+finished cell's record themselves, so nothing that finished is lost
+with the supervisor: rerunning the grid against the same store
+simulates only the cells that were still missing.
 """
 
 from __future__ import annotations
@@ -57,6 +61,17 @@ _TICK_S = 0.05
 #: How often an idle worker checks that its parent is still alive.
 _ORPHAN_POLL_S = 0.5
 
+#: Dispatch pipelining: cells queued per worker (the head runs, the
+#: rest wait in the worker's pipe). Depth 2 hides the result/next-job
+#: round trip on short cells; a worker death charges an attempt only
+#: to the head — queued cells requeue for free.
+_PREFETCH = 2
+
+#: Delay before replacing a dead worker, doubling per consecutive
+#: death up to the cap.
+_RESPAWN_BACKOFF_S = 0.1
+_RESPAWN_BACKOFF_CAP_S = 2.0
+
 #: Failure kinds recorded in attempt histories.
 KIND_ERROR = "error"  # the cell raised
 KIND_DEATH = "worker-death"  # the worker process died mid-cell
@@ -68,44 +83,26 @@ class CellPolicy:
     """Retry/deadline/quarantine policy for supervised cells.
 
     ``max_retries`` counts *extra* attempts after the first: the
-    default 3 means a cell may run up to 4 times before quarantine.
-    ``retry_backoff_s`` doubles per failed attempt. ``deadline_s`` is
-    the per-attempt wall-clock budget (``None`` disables the
-    watchdog; serial in-process runs never enforce it — there is no
-    second process to do the killing). ``on_exhausted`` selects
-    graceful degradation (``"quarantine"``, the default) or the
-    legacy abort (``"raise"``).
+    default 3 means a cell may run up to 4 times before it is
+    quarantined. ``retry_backoff_s`` doubles per failed attempt.
+    ``deadline_s`` is the per-attempt wall-clock budget (``None``
+    disables the watchdog; serial in-process runs never enforce it —
+    there is no second process to do the killing).
     """
 
     max_retries: int = 3
     retry_backoff_s: float = 0.05
     deadline_s: float | None = None
-    on_exhausted: str = "quarantine"
-    respawn_backoff_s: float = 0.1
-    respawn_backoff_cap_s: float = 2.0
-    #: Dispatch pipelining: cells queued per worker (the head runs,
-    #: the rest wait in the worker's pipe). Depth 2 hides the
-    #: result/next-job round trip on short cells; a worker death
-    #: charges an attempt only to the head — queued cells requeue
-    #: for free.
-    prefetch: int = 2
 
     def __post_init__(self) -> None:
         if self.max_retries < 0:
             raise ValueError(f"max_retries must be >= 0, got {self.max_retries}")
-        if self.prefetch < 1:
-            raise ValueError(f"prefetch must be >= 1, got {self.prefetch}")
         if self.retry_backoff_s < 0:
             raise ValueError(
                 f"retry_backoff_s must be >= 0, got {self.retry_backoff_s}"
             )
         if self.deadline_s is not None and self.deadline_s <= 0:
             raise ValueError(f"deadline_s must be positive, got {self.deadline_s}")
-        if self.on_exhausted not in ("quarantine", "raise"):
-            raise ValueError(
-                f"on_exhausted must be 'quarantine' or 'raise', "
-                f"got {self.on_exhausted!r}"
-            )
 
     def backoff_for(self, attempt: int) -> float:
         """Delay before re-dispatching after failed attempt ``attempt``."""
@@ -147,18 +144,6 @@ class QuarantinedCell:
             "attempts": len(self.failures),
             "failures": [failure.as_dict() for failure in self.failures],
         }
-
-
-class QuarantineExhausted(RuntimeError):
-    """Raised (policy ``on_exhausted="raise"``) for an exhausted cell."""
-
-    def __init__(self, cell: QuarantinedCell):
-        self.cell = cell
-        last = cell.failures[-1].detail if cell.failures else "no failures recorded"
-        super().__init__(
-            f"sweep cell {cell.label} failed {len(cell.failures)} "
-            f"attempt(s); last failure: {last.strip().splitlines()[-1]}"
-        )
 
 
 def _next_jobs(conn, parent_pid: int):
@@ -238,9 +223,9 @@ def _worker_main(conn, task, flush: int, progress_fd: int, parent_pid: int) -> N
                     os.write(progress_fd, b"\x01")
                 except OSError:  # pragma: no cover - parent gone
                     pass
-            # The time bound keeps slow cells reporting (and being
-            # journaled) individually — batching only ever holds back
-            # results that are milliseconds old.
+            # The time bound keeps slow cells reporting individually —
+            # batching only ever holds back results that are
+            # milliseconds old.
             now = time.monotonic()
             if len(buffered) >= flush or now - last_send > _TICK_S:
                 try:
@@ -326,7 +311,7 @@ class SweepSupervisor:
         self._respawn_streak = 0
         self._deaths_unreplaced = 0
         self._respawn_at = 0.0
-        self._depth = self.policy.prefetch
+        self._depth = _PREFETCH
         # Results per worker message: batching amortizes parent
         # wake-ups, but an armed deadline needs per-cell reports for
         # exact per-cell timing. The progress side-pipe rides on fd
@@ -421,8 +406,8 @@ class SweepSupervisor:
         self._respawn_streak += 1
         self._deaths_unreplaced += 1
         delay = min(
-            self.policy.respawn_backoff_cap_s,
-            self.policy.respawn_backoff_s * (2 ** (self._respawn_streak - 1)),
+            _RESPAWN_BACKOFF_CAP_S,
+            _RESPAWN_BACKOFF_S * (2 ** (self._respawn_streak - 1)),
         )
         self._respawn_at = time.monotonic() + delay
 
@@ -489,7 +474,7 @@ class SweepSupervisor:
         # (more workers than cores) is time-slice-equalized anyway —
         # queue one worker's whole share and save the round trips,
         # exactly the old pool's chunksize policy.
-        self._depth = policy.prefetch
+        self._depth = _PREFETCH
         if self.size > (os.cpu_count() or 1):
             self._depth = max(self._depth, -(-total // max(1, self.size)))
         retry_heap: list[tuple[float, int, tuple[str, str, Any, int]]] = []
@@ -517,8 +502,6 @@ class SweepSupervisor:
             if attempt > policy.max_retries:
                 cell = QuarantinedCell(key, label, failures.pop(key))
                 self.stats["quarantined"] += 1
-                if policy.on_exhausted == "raise":
-                    raise QuarantineExhausted(cell)
                 return cell
             self.stats["retries" if kind == KIND_ERROR else "requeues"] += 1
             ready = time.monotonic() + policy.backoff_for(attempt)

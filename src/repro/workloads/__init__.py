@@ -12,7 +12,9 @@ Beyond the paper, :class:`NginxWorkload` (short-request web tier),
 :class:`RpcFanoutWorkload` (scatter-gather with cross-core wakeup
 coupling) and :class:`TraceReplayWorkload` (deterministic recorded
 arrivals) widen the idleness spectrum; the scenario registry
-(:mod:`repro.scenarios`) is how they all plug into sweeps.
+(:mod:`repro.scenarios`) is how they all plug into sweeps, and
+:func:`repro.scenarios.build` builds any of them from plain cell data
+(name, rate, preset).
 """
 
 from repro.workloads.base import Request, Workload, NullWorkload
@@ -39,11 +41,9 @@ from repro.workloads.nginx import NginxWorkload
 from repro.workloads.replay import TraceReplayWorkload, load_trace
 from repro.workloads.rpcfanout import RpcFanoutWorkload
 from repro.workloads.upi_traffic import CompositeWorkload, UpiSnoopTraffic
-from repro.workloads.factory import build_workload
 
 
 __all__ = [
-    "build_workload",
     "Request",
     "Workload",
     "NullWorkload",

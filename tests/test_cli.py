@@ -29,7 +29,6 @@ GRID_DEFAULTS = {
     "progress": None,
     "quarantine_report": None,
     "rates": None,
-    "resume": False,
     "retry_backoff": 0.05,
     "scenario": None,
     "seeds": "1",
@@ -44,9 +43,9 @@ GRID_DEFAULTS = {
 GRID_FLAGS = {
     "--cell-deadline", "--configs", "--duration-ms", "--help",
     "--max-retries", "--no-progress", "--out", "--preset", "--presets",
-    "--progress", "--quarantine-report", "--rates", "--resume",
-    "--retry-backoff", "--scenario", "--seeds", "--set", "--stats-json",
-    "--store", "--trace", "--warmup-ms", "--workers", "--workload", "-h",
+    "--progress", "--quarantine-report", "--rates", "--retry-backoff",
+    "--scenario", "--seeds", "--set", "--stats-json", "--store", "--trace",
+    "--warmup-ms", "--workers", "--workload", "-h",
 }
 GRID_TYPES = {
     "duration_ms": "int", "warmup_ms": "int", "workers": "int",

@@ -132,10 +132,10 @@ class TestCliCompareAndWorkloads:
         assert "mysql" in capsys.readouterr().out
 
     def test_unknown_workload_rejected(self):
-        from repro.cli import build_workload
+        from repro.scenarios import build
 
         with pytest.raises(KeyError):
-            build_workload("postgres", 1000, "low")
+            build("postgres", 1000, "low")
 
     def test_export_command_writes_csv(self, tmp_path, capsys):
         out = tmp_path / "sweep.csv"

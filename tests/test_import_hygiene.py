@@ -1,10 +1,11 @@
 """The public surface has one way to run a cell and one way to run a grid.
 
 ``repro.api.run_cell`` runs a cell and ``SweepSession.run`` runs a
-grid, always on a freshly built runtime; the removed alternatives,
-compat aliases and warm-runtime recycling must stay removed, and
-``import repro`` must not pull in heavyweight dependencies the package
-does not need.
+grid, always on a freshly built runtime; the result store is the one
+record of finished work. The removed alternatives, compat aliases,
+warm-runtime recycling, the run journal and the duplicate hit tallies
+must stay removed, and ``import repro`` must not pull in heavyweight
+dependencies the package does not need.
 """
 
 from __future__ import annotations
@@ -41,6 +42,23 @@ REMOVED = [
     ("repro.sweep.session", "clear_warm_machines"),
     ("repro.lint", "verify_recycle_roundtrip"),
     ("repro.lint", "RoundTripReport"),
+    ("repro.api", "RunJournal"),
+    ("repro.sweep", "RunJournal"),
+    ("repro.sweep", "JournalError"),
+    ("repro.sweep", "JOURNAL_SCHEMA"),
+    ("repro.sweep", "QuarantineExhausted"),
+    ("repro.sweep.supervisor", "QuarantineExhausted"),
+    ("repro.workloads", "build_workload"),
+]
+
+#: Modules deleted outright; names listed above under one of them are
+#: gone with it.
+REMOVED_MODULES = [
+    "repro.sweep.runner",
+    "repro.server.recycle",
+    "repro.lint.sanitizer",
+    "repro.sweep.journal",
+    "repro.workloads.factory",
 ]
 
 REMOVED_ATTRIBUTES = [
@@ -50,6 +68,11 @@ REMOVED_ATTRIBUTES = [
     ("repro.fleet.cluster", "FleetMachine", "recycle"),
     ("repro.sweep.spec", "ExperimentSpec", "warm_slot"),
     ("repro.fleet.spec", "FleetCell", "warm_slot"),
+    ("repro.sim.engine", "Simulator", "step"),
+    ("repro.sweep.supervisor", "CellPolicy", "on_exhausted"),
+    ("repro.sweep.supervisor", "CellPolicy", "prefetch"),
+    ("repro.sweep.supervisor", "CellPolicy", "respawn_backoff_s"),
+    ("repro.sweep.supervisor", "CellPolicy", "respawn_backoff_cap_s"),
 ]
 
 #: Names the benchmark's probe installer still binds; each one raises.
@@ -65,6 +88,10 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 
 @pytest.mark.parametrize(("module", "name"), REMOVED)
 def test_removed_name_stays_removed(module, name):
+    if module in REMOVED_MODULES:
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module(module)
+        return
     assert not hasattr(importlib.import_module(module), name)
 
 
@@ -77,11 +104,22 @@ def test_removed_modules_and_methods_stay_removed():
     from repro.fleet import FleetCell
 
     assert not hasattr(FleetCell, "simulate")
-    for module in (
-        "repro.sweep.runner", "repro.server.recycle", "repro.lint.sanitizer"
-    ):
+    for module in REMOVED_MODULES:
         with pytest.raises(ModuleNotFoundError):
             importlib.import_module(module)
+
+
+def test_the_store_is_the_one_record_of_finished_work(tmp_path):
+    from repro.sweep import CellPolicy, MemoryStore, ResultStore, SweepSession
+
+    for store in (MemoryStore(), ResultStore(tmp_path)):
+        assert not hasattr(store, "hits") and not hasattr(store, "misses")
+    with SweepSession(workers=1) as session:
+        session.run([])
+    assert "journal_skipped" not in session.last_run_stats
+    assert "worker_store_hits" not in session.last_run_stats
+    fields = CellPolicy.__dataclass_fields__
+    assert sorted(fields) == ["deadline_s", "max_retries", "retry_backoff_s"]
 
 
 @pytest.mark.parametrize(("module", "owner", "name"), RECYCLE_STUBS)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro import scenarios
 from repro.server.configs import cpc1a
 from repro.server.machine import ServerMachine
 from repro.sim.engine import Simulator
@@ -21,7 +22,6 @@ from repro.sim.sanitize import (
     callback_label,
 )
 from repro.units import MS
-from repro.workloads.factory import build_workload
 
 
 def handler_a():
@@ -102,7 +102,7 @@ class TestDigest:
         digests = []
         for _ in range(2):
             machine = ServerMachine(cpc1a(), 7, sanitize=True)
-            build_workload("memcached", qps=2000.0).start(machine.sim, machine)
+            scenarios.build("memcached", qps=2000.0).start(machine.sim, machine)
             machine.run_for(5 * MS)
             digests.append(machine.sim.sanitize_report())
         assert digests[0].events > 0

@@ -151,16 +151,6 @@ class TestIntrospection:
         sim.run()
         assert sim.events_processed == 5
 
-    def test_step_returns_false_when_drained(self, sim):
-        assert sim.step() is False
-
-    def test_step_executes_single_event(self, sim):
-        log = []
-        sim.schedule(10, log.append, "a")
-        sim.schedule(20, log.append, "b")
-        assert sim.step() is True
-        assert log == ["a"]
-
 
 class TestDeterminism:
     def test_same_seed_same_rng_stream(self):

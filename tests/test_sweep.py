@@ -165,7 +165,6 @@ class TestResultStore:
         # Frozen dataclass equality covers every field, including the
         # nested latency/socwatch records and int-keyed histograms.
         assert loaded == result
-        assert store.hits == 1 and store.misses == 1
 
     def test_corrupt_record_is_a_miss(self, tmp_path):
         cell = tiny_cell()

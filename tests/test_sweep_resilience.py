@@ -1,11 +1,11 @@
-"""The fault-tolerant execution plane: supervisor, chaos, journal.
+"""The fault-tolerant execution plane: supervisor, chaos, store.
 
-Covers the PR-9 robustness overhaul: :class:`SweepSupervisor` (worker
-death detection + respawn, per-cell deadlines, bounded retries with
-quarantine), the deterministic chaos harness (``REPRO_CHAOS``), the
-crash-safe :class:`RunJournal` behind ``repro sweep --resume``,
-checksum-verified :class:`ResultStore` reads, and the CLI-level
-SIGKILL/SIGINT recovery paths.
+Covers :class:`SweepSupervisor` (worker death detection + respawn,
+per-cell deadlines, bounded retries with quarantine), the
+deterministic chaos harness (``REPRO_CHAOS``), checksum-verified
+:class:`ResultStore` reads, and the CLI-level SIGKILL/SIGINT recovery
+paths: a rerun with the same ``--store`` finishes an interrupted
+sweep.
 
 The headline invariant pinned here: a chaos-ridden sweep finishes
 with byte-identical results to a fault-free one.
@@ -33,20 +33,24 @@ from repro.sweep import (
     WorkloadPoint,
     result_to_dict,
 )
-from repro.sweep import chaos
-from repro.sweep.journal import JOURNAL_SCHEMA, JournalError, RunJournal
+from repro.sweep import chaos, supervisor
 from repro.sweep.store import _checksum
 from repro.sweep.supervisor import (
     KIND_DEADLINE,
     KIND_DEATH,
     KIND_ERROR,
     CellPolicy,
-    QuarantineExhausted,
     SweepSupervisor,
 )
 from repro.units import MS
 
-FAST = CellPolicy(retry_backoff_s=0.0, respawn_backoff_s=0.01)
+FAST = CellPolicy(retry_backoff_s=0.0)
+
+
+@pytest.fixture(autouse=True)
+def fast_respawn(monkeypatch):
+    """Replace dead workers after 10 ms instead of 100 ms."""
+    monkeypatch.setattr(supervisor, "_RESPAWN_BACKOFF_S", 0.01)
 
 
 def _echo(payload, attempt):
@@ -141,18 +145,6 @@ class TestSupervisor:
         assert report["attempts"] == 2
         assert report["failures"][1]["kind"] == KIND_ERROR
 
-    def test_raise_mode_aborts_on_exhaustion(self):
-        policy = CellPolicy(
-            max_retries=0, retry_backoff_s=0.0, on_exhausted="raise"
-        )
-        sup = SweepSupervisor(1, _fail_below_attempt, policy)
-        try:
-            with pytest.raises(QuarantineExhausted) as err:
-                list(sup.run([("bad", "always-bad", ("X", 99))]))
-            assert err.value.cell.key == "bad"
-        finally:
-            sup.close()
-
     def test_worker_death_requeues_and_respawns(self):
         sup = SweepSupervisor(2, _exit_below_attempt, FAST)
         try:
@@ -198,9 +190,7 @@ class TestSupervisor:
         assert sup.stats["requeues"] == 1
 
     def test_deadline_kills_stuck_cell_and_retries(self):
-        policy = CellPolicy(
-            retry_backoff_s=0.0, deadline_s=0.25, respawn_backoff_s=0.01
-        )
+        policy = CellPolicy(retry_backoff_s=0.0, deadline_s=0.25)
         sup = SweepSupervisor(2, _stall_below_attempt, policy)
         try:
             items = [("k0", "stuck-once", ("V", 2)), ("k1", "fine", ("W", 1))]
@@ -212,10 +202,7 @@ class TestSupervisor:
         assert sup.stats["requeues"] == 1
 
     def test_deadline_exhaustion_quarantines_with_kind(self):
-        policy = CellPolicy(
-            max_retries=0, retry_backoff_s=0.0, deadline_s=0.2,
-            respawn_backoff_s=0.01,
-        )
+        policy = CellPolicy(max_retries=0, retry_backoff_s=0.0, deadline_s=0.2)
         sup = SweepSupervisor(1, _stall_below_attempt, policy)
         try:
             events = list(sup.run([("k0", "forever-stuck", ("V", 99))]))
@@ -300,64 +287,6 @@ class TestChaosConfig:
         assert not chaos.torn_write("anykey")
 
 
-class TestRunJournal:
-    def test_fresh_journal_header_and_records(self, tmp_path):
-        path = tmp_path / "journal.jsonl"
-        with RunJournal(path) as journal:
-            journal.record("k1", "cell-1")
-            journal.record("k2", "cell-2")
-            journal.record("k1", "cell-1")  # idempotent
-            assert len(journal) == 2 and "k1" in journal
-        lines = [json.loads(line) for line in path.read_text().splitlines()]
-        assert lines[0] == {"journal": "repro-sweep", "schema": JOURNAL_SCHEMA}
-        assert lines[1:] == [
-            {"key": "k1", "label": "cell-1"},
-            {"key": "k2", "label": "cell-2"},
-        ]
-
-    def test_resume_loads_keys_and_appends(self, tmp_path):
-        path = tmp_path / "journal.jsonl"
-        with RunJournal(path) as journal:
-            journal.record("k1")
-        with RunJournal(path, resume=True) as journal:
-            assert journal.completed == frozenset({"k1"})
-            journal.record("k2")
-        with RunJournal(path, resume=True) as journal:
-            assert journal.completed == frozenset({"k1", "k2"})
-
-    def test_resume_tolerates_torn_final_line(self, tmp_path):
-        path = tmp_path / "journal.jsonl"
-        with RunJournal(path) as journal:
-            journal.record("k1")
-        with open(path, "a", encoding="utf-8") as handle:
-            handle.write('{"key": "k2", "lab')  # SIGKILL mid-append
-        with RunJournal(path, resume=True) as journal:
-            assert journal.completed == frozenset({"k1"})
-
-    def test_resume_rejects_wrong_schema(self, tmp_path):
-        path = tmp_path / "journal.jsonl"
-        path.write_text('{"journal": "repro-sweep", "schema": 999}\n')
-        with pytest.raises(JournalError, match="schema"):
-            RunJournal(path, resume=True)
-        path.write_text('{"some": "other file"}\n')
-        with pytest.raises(JournalError):
-            RunJournal(path, resume=True)
-
-    def test_fresh_open_truncates(self, tmp_path):
-        path = tmp_path / "journal.jsonl"
-        with RunJournal(path) as journal:
-            journal.record("k1")
-        with RunJournal(path) as journal:  # resume=False: new campaign
-            assert journal.completed == frozenset()
-        assert "k1" not in path.read_text()
-
-    def test_record_after_close_is_noop(self, tmp_path):
-        journal = RunJournal(tmp_path / "journal.jsonl")
-        journal.close()
-        journal.record("k1")  # must not raise
-        assert "k1" not in journal
-
-
 def small_spec(seed=1):
     return ExperimentSpec(
         workload="memcached", qps=4_000.0, preset="low", config="CPC1A",
@@ -410,15 +339,16 @@ class TestStoreRobustness:
         assert store.get(spec.key()) is None
         assert store.quarantined == 1
 
-    def test_legacy_record_without_checksum_accepted(self, tmp_path):
-        store, spec, result = self.put_one(tmp_path)
+    @pytest.mark.parametrize("field", ["sha256", "kind"])
+    def test_record_without_checksum_or_kind_quarantined(self, tmp_path, field):
+        store, spec, _result = self.put_one(tmp_path)
         path = self.record_path(store, spec)
         record = json.loads(path.read_text())
-        del record["sha256"]
+        del record[field]
         path.write_text(json.dumps(record))
-        loaded = store.get(spec.key())
-        assert loaded is not None
-        assert result_to_dict(loaded) == result_to_dict(result)
+        assert store.get(spec.key()) is None
+        assert store.quarantined == 1
+        assert not path.exists()
 
     def test_verify_reports_and_quarantines(self, tmp_path):
         store, spec, _result = self.put_one(tmp_path, seed=1)
@@ -485,9 +415,7 @@ class TestChaosSweepIdentity:
         # High fault rates + a deep retry budget: every cell fails a
         # few times somewhere yet nothing exhausts.
         monkeypatch.setenv(chaos.ENV_VAR, "seed=3,kill=0.4,fault=0.4")
-        policy = CellPolicy(
-            max_retries=12, retry_backoff_s=0.0, respawn_backoff_s=0.01
-        )
+        policy = CellPolicy(max_retries=12, retry_backoff_s=0.0)
         with SweepSession(workers=2, policy=policy) as session:
             chaotic = session.run(spec)
             stats = session.last_run_stats
@@ -530,7 +458,7 @@ GRID = [
 ]
 
 # Cells slow enough (~0.3 s wall each) that a signal sent after the
-# first journaled cell reliably lands while most of the grid is still
+# first stored cell reliably lands while most of the grid is still
 # in flight — the fast GRID above can finish inside the signal's
 # delivery latency.
 SLOW_GRID = [
@@ -540,13 +468,18 @@ SLOW_GRID = [
 ]
 
 
-def wait_for_journal(path: Path, lines: int, timeout_s: float = 120.0):
+def stored_records(store: Path) -> int:
+    """Finished cells in a result store (temp files end in ``.tmp``)."""
+    return len(list(store.glob("*.json")))
+
+
+def wait_for_records(store: Path, records: int, timeout_s: float = 120.0):
     deadline = time.monotonic() + timeout_s
     while time.monotonic() < deadline:
-        if path.exists() and len(path.read_text().splitlines()) >= lines:
+        if stored_records(store) >= records:
             return
         time.sleep(0.05)
-    raise AssertionError(f"journal never reached {lines} lines")
+    raise AssertionError(f"store never reached {records} records")
 
 
 def _proc_stat(pid: int) -> list[str] | None:
@@ -578,47 +511,47 @@ class TestCliRecovery:
     def test_parent_sigkill_then_resume_is_byte_identical(self, tmp_path):
         clean = run_cli(GRID + ["--out", "clean.csv"], cwd=tmp_path)
         assert clean.returncode == 0, clean.stderr
-        journal = tmp_path / "store" / "journal.jsonl"
+        store = tmp_path / "store"
         proc = spawn_cli(
             GRID + ["--out", "out.csv", "--store", "store"], cwd=tmp_path
         )
         try:
-            # Header + 2 completed cells ~= half the 8-cell grid.
-            wait_for_journal(journal, 3)
+            # 2 stored cells ~= a quarter of the 8-cell grid.
+            wait_for_records(store, 2)
             workers = child_pids(proc.pid)
         finally:
             proc.kill()
             proc.wait(timeout=60)
-        killed_at = len(journal.read_text().splitlines()) - 1
         # The orphaned sweep workers notice the dead parent and exit.
         assert workers
         deadline = time.monotonic() + 10.0
         while any(map(running, workers)) and time.monotonic() < deadline:
             time.sleep(0.1)
         assert not [pid for pid in workers if running(pid)]
-        resume = run_cli(
+        records_at_kill = stored_records(store)
+        # The same command again, with no extra flag, finishes the grid.
+        rerun = run_cli(
             GRID + [
-                "--out", "out.csv", "--store", "store", "--resume",
+                "--out", "out.csv", "--store", "store",
                 "--stats-json", "stats.json",
             ],
             cwd=tmp_path,
         )
-        assert resume.returncode == 0, resume.stderr
+        assert rerun.returncode == 0, rerun.stderr
         stats = json.loads((tmp_path / "stats.json").read_text())
-        assert stats["journal_skipped"] >= killed_at >= 2
-        assert stats["simulated"] <= stats["cells"] - killed_at
+        assert stats["cache_hits"] >= records_at_kill >= 2
+        assert stats["simulated"] <= stats["cells"] - records_at_kill
         assert stats["quarantined"] == 0
         assert (tmp_path / "out.csv").read_bytes() == (
             tmp_path / "clean.csv"
         ).read_bytes()
 
     def test_sigint_flushes_and_reports(self, tmp_path):
-        journal = tmp_path / "store" / "journal.jsonl"
         proc = spawn_cli(
             SLOW_GRID + ["--out", "out.csv", "--store", "store"], cwd=tmp_path
         )
         try:
-            wait_for_journal(journal, 2)
+            wait_for_records(tmp_path / "store", 1)
             proc.send_signal(signal.SIGINT)
             _stdout, stderr = proc.communicate(timeout=120)
         finally:
@@ -626,15 +559,15 @@ class TestCliRecovery:
             proc.wait(timeout=60)
         assert proc.returncode == 130, stderr
         assert "interrupted:" in stderr
-        assert "--resume" in stderr
+        assert "rerun with the same --store" in stderr
         # The partial CSV is durable and well-formed (header + rows).
         out = (tmp_path / "out.csv").read_text().splitlines()
         assert len(out) >= 1
-        resume = run_cli(
-            SLOW_GRID + ["--out", "out.csv", "--store", "store", "--resume"],
+        rerun = run_cli(
+            SLOW_GRID + ["--out", "out.csv", "--store", "store"],
             cwd=tmp_path,
         )
-        assert resume.returncode == 0, resume.stderr
+        assert rerun.returncode == 0, rerun.stderr
         clean = run_cli(SLOW_GRID + ["--out", "clean.csv"], cwd=tmp_path)
         assert clean.returncode == 0
         assert (tmp_path / "out.csv").read_bytes() == (

@@ -194,19 +194,22 @@ class TestKeyCaching:
         assert short.key() != longer.key()
 
 
-class TestWorkerStoreShortCircuit:
-    def test_existing_record_is_not_resimulated(self, tmp_path):
+class TestWorkerStore:
+    def test_existing_record_is_rewritten_identically(self, tmp_path):
         cell = ExperimentSpec(
             workload="idle", qps=0.0, preset="low", config="CPC1A",
             seed=1, duration_ns=3 * MS, warmup_ns=1 * MS,
         )
         store = ResultStore(tmp_path / "cache")
-        key, status, result, build_s, sim_s = _cell_task((cell, str(store.root)))
-        assert status == "stored" and result is not None
-        # A second worker-side attempt finds the record locally and
-        # ships a marker instead of the result.
-        key2, status2, result2, *_ = _cell_task((cell, str(store.root)))
-        assert (key2, status2, result2) == (key, "hit", None)
+        key, result, _build_s, _sim_s = _cell_task((cell, str(store.root)))
+        record = (store.root / f"{key}.json").read_bytes()
+        # The worker does not look the cell up: a second run (say, a
+        # concurrent sweep sharing the store) re-simulates and replaces
+        # the record with the same bytes.
+        key2, result2, *_ = _cell_task((cell, str(store.root)))
+        assert (key2, result2) == (key, result)
+        assert (store.root / f"{key}.json").read_bytes() == record
+        assert len(store) == 1
 
     def test_worker_persists_spec_with_record(self, tmp_path):
         cell = ExperimentSpec(
@@ -228,10 +231,12 @@ class TestWorkerExceptions:
 
         monkeypatch.setattr(api_module, "run_cell", boom)
         spec = short_grid(rates=(0,), configs=("CPC1A",), seeds=(5,))
-        policy = CellPolicy(max_retries=0, on_exhausted="raise")
+        policy = CellPolicy(max_retries=0)
         with SweepSession(workers=1, policy=policy) as session:
-            with pytest.raises(SweepCellError, match=r"CPC1A/idle/seed5"):
-                session.run(spec)
+            results = session.run(spec)
+        (failed,) = results.quarantined
+        assert "CPC1A/idle/seed5" in failed.label
+        assert "CPC1A/idle/seed5" in failed.failures[0].detail
 
     def test_wrapped_error_keeps_original_message(self, monkeypatch):
         import repro.api as api_module
@@ -240,10 +245,14 @@ class TestWorkerExceptions:
             raise ValueError("the original reason")
 
         monkeypatch.setattr(api_module, "run_cell", boom)
-        policy = CellPolicy(max_retries=0, on_exhausted="raise")
+        policy = CellPolicy(max_retries=0)
         with SweepSession(workers=1, policy=policy) as session:
-            with pytest.raises(SweepCellError, match="the original reason"):
-                session.run(short_grid(rates=(0,), configs=("CPC1A",), seeds=(1,)))
+            results = session.run(
+                short_grid(rates=(0,), configs=("CPC1A",), seeds=(1,))
+            )
+        (failed,) = results.quarantined
+        assert SweepCellError.__name__ in failed.failures[0].detail
+        assert "the original reason" in failed.failures[0].detail
 
     def test_default_policy_quarantines_and_completes(self, monkeypatch):
         """A deterministically failing cell is quarantined (with its
@@ -281,7 +290,7 @@ class TestAtomicStore:
             seed=1, duration_ns=3 * MS, warmup_ns=1 * MS,
         )
         store = ResultStore(tmp_path / "cache")
-        _key, _status, result, *_ = _cell_task((cell, str(store.root)))
+        _key, result, *_ = _cell_task((cell, str(store.root)))
         store.put(cell.key(), result, spec=cell)
         assert list(store.root.glob("*.tmp")) == []
         assert len(store) == 1
@@ -294,7 +303,7 @@ class TestAtomicStore:
             seed=1, duration_ns=3 * MS, warmup_ns=1 * MS,
         )
         store = ResultStore(tmp_path / "cache")
-        _key, _status, result, *_ = _cell_task((cell, None))
+        _key, result, *_ = _cell_task((cell, None))
 
         def explode(*args, **kwargs):
             raise OSError("disk full")
