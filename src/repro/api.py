@@ -17,7 +17,10 @@ way to run a cell; :class:`~repro.sweep.session.SweepSession` is the
 one way to run a grid of them. :func:`measure_window` is the
 warmup/measure flow ``run_cell`` shares with the quick-start driver
 :func:`~repro.server.experiment.run_experiment`, which takes a
-prebuilt workload and machine config instead of a spec.
+workload object and a machine config instead of a spec and always
+builds a fresh machine. The examples keep it because a config can be
+anything a caller builds — ``examples/custom_soc.py`` measures a
+custom SoC that no spec can name.
 
 Typical use::
 

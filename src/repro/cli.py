@@ -29,8 +29,9 @@ both a per-cell CSV and a per-seed mean/CI summary::
         --out results/sweep.csv
 
 Re-running with an unchanged grid is free: every cell is a cache hit.
-``export`` remains the figure-oriented single-seed CSV (same engine
-underneath, fixed column set for re-plotting Figs. 6/7).
+``export`` is the figure-oriented single-seed CSV (fixed column set
+and one row per rate, for re-plotting Figs. 6/7); it runs through the
+same grid runner, so it shares the store, retries and quarantine.
 
 Scenarios
 ---------
@@ -77,7 +78,6 @@ may have been torn by crashes.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
 import time
@@ -366,14 +366,16 @@ def summarize(result: ExperimentResult) -> str:
     return format_table(["metric", "value"], rows)
 
 
-def _add_run_args(parser: argparse.ArgumentParser) -> None:
+def _add_run_args(parser: argparse.ArgumentParser, qps: bool = True) -> None:
     parser.add_argument(
         "--workload", default="memcached",
         choices=list(scenario_registry.scenario_names()),
     )
-    parser.add_argument(
-        "--qps", type=float, default=20_000, help="offered rate (rate-driven scenarios)"
-    )
+    if qps:
+        parser.add_argument(
+            "--qps", type=float, default=20_000,
+            help="offered rate (rate-driven scenarios)",
+        )
     parser.add_argument(
         "--preset", default="low", help="preset (mysql/kafka) or trace path (replay)"
     )
@@ -506,14 +508,15 @@ def cmd_export(args: argparse.Namespace) -> int:
 
     The CSV carries everything needed to re-plot the paper's
     Memcached figures (6 and 7) with external tooling. The grid runs
-    through a sweep session, so ``--workers`` parallelises it and
-    ``--store`` makes re-runs of unchanged cells cache hits.
+    through the same runner as ``sweep``, so ``--workers``
+    parallelises it, ``--store`` makes re-runs of unchanged cells
+    cache hits, and failed cells are quarantined and reported.
 
-    Cells are passed to the session as an explicit list rather than a
-    :class:`SweepSpec`: for preset-driven workloads every listed rate
-    is the same physical experiment, which a spec rejects as a
-    duplicate — here the session simulates it once and the CSV keeps
-    the historical one-row-per-rate layout.
+    Cells are an explicit list rather than a :class:`SweepSpec`: for
+    preset-driven workloads every listed rate is the same physical
+    experiment, which a spec rejects as a duplicate — here the session
+    simulates it once and the CSV keeps the historical
+    one-row-per-rate layout (``offered_qps`` is the listed rate).
     """
     try:
         points = _rate_points(args)
@@ -535,32 +538,12 @@ def cmd_export(args: argparse.Namespace) -> int:
         ]
     except (KeyError, ValueError) as error:
         raise SystemExit(f"invalid export grid: {error}") from None
-    workers = _resolve_workers(args.workers)
-    store = ResultStore(args.store) if args.store else None
-    with SweepSession(workers=workers) as session:
-        results = session.run(
-            cells, store=store, progress=_progress_for(args, len(cells))
-        )
-    rows = []
-    for cell, result in zip(results.cells, results.results):
-        row = flatten_result(result)
-        row["offered_qps"] = cell.qps  # preset workloads keep the CLI rate
-        rows.append(row)
-    out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    with open(out, "w", newline="") as handle:
-        writer = csv.DictWriter(
-            handle, fieldnames=EXPORT_COLUMNS, extrasaction="ignore"
-        )
-        writer.writeheader()
-        writer.writerows(rows)
-    print(f"wrote {len(rows)} rows to {args.out}")
-    if results.cache_hits:
-        # Hits are per unique cell; rows can outnumber them when
-        # several rates label the same physical experiment.
-        unique = len({cell.key() for cell in results.cells})
-        print(f"{results.cache_hits}/{unique} unique cells served from cache")
-    return 0
+    return _run_grid(
+        args, cells, "cells", columns=EXPORT_COLUMNS,
+        flatten=lambda result, spec: {
+            **flatten_result(result, spec=spec), "offered_qps": spec.qps,
+        },
+    )
 
 
 def _scenario_points(args: argparse.Namespace) -> tuple[WorkloadPoint, ...]:
@@ -765,17 +748,18 @@ def _run_grid(
     args: argparse.Namespace,
     cells: list,
     noun: str,
-    table: Callable[[SweepResults], str],
+    table: Callable[[SweepResults], str] | None = None,
     columns: tuple[str, ...] | None = None,
     flatten=None,
 ) -> int:
-    """Run a ``sweep``/``fleet`` grid and report it; returns the exit code.
+    """Run a grid command's cells and report them; returns the exit code.
 
     Rows stream to ``--out`` as cells complete (in deterministic cell
     order, so the CSV is byte-identical to a buffered write) instead
     of holding the whole grid's results before the first row lands.
     ``columns``/``flatten`` pick the CSV layout (default: the
-    single-machine one); ``table`` renders the printed summary.
+    single-machine one); ``table``, if given, renders the printed
+    summary.
     """
     workers = _resolve_workers(args.workers)
     store = ResultStore(args.store) if args.store else None
@@ -800,7 +784,8 @@ def _run_grid(
     if args.stats_json:
         _write_stats_json(args, session.last_run_stats, workers, count)
     exit_code = _handle_quarantined(args, results)
-    print(table(results))
+    if table is not None:
+        print(table(results))
     return exit_code
 
 
@@ -1134,13 +1119,13 @@ def build_parser() -> argparse.ArgumentParser:
     area_parser.set_defaults(fn=cmd_area)
 
     export_parser = sub.add_parser("export", help="sweep rates to CSV")
-    _add_run_args(export_parser)
+    _add_run_args(export_parser, qps=False)
     export_parser.add_argument(
         "--configs", default="Cshallow,CPC1A",
         help="comma-separated config names",
     )
     export_parser.add_argument(
-        "--rates", default="0,4000,10000,25000,50000,100000",
+        "--rates", default=DEFAULT_RATES,
         help="comma-separated offered rates (0 = idle)",
     )
     export_parser.add_argument("--out", default="results/sweep.csv")
@@ -1152,7 +1137,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_set_flag(export_parser)
     _add_progress_flag(export_parser)
-    export_parser.set_defaults(fn=cmd_export)
+    # The grid runner's retry/report knobs, at sweep's defaults (export
+    # keeps its historical flag set).
+    export_parser.set_defaults(
+        fn=cmd_export, max_retries=3, retry_backoff=0.05, cell_deadline=None,
+        quarantine_report=None, stats_json=None,
+    )
 
     sweep_parser = sub.add_parser(
         "sweep", help="parallel scenario x config x rate x seed grid"
@@ -1308,9 +1298,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         return args.fn(args)
     except KeyboardInterrupt:
-        # Commands with partial output to salvage (sweep) catch the
-        # interrupt themselves; everything else still exits 130
-        # cleanly instead of dying mid-print with a traceback.
+        # Grid commands (sweep, fleet, export) salvage their partial
+        # output and catch the interrupt themselves; everything else
+        # still exits 130 cleanly instead of dying mid-print with a
+        # traceback.
         print("interrupted", file=sys.stderr)
         return 130
 

@@ -9,7 +9,7 @@ observables the paper reports across Figs. 5–9.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from repro.server.configs import MachineConfig
 from repro.server.machine import ServerMachine
@@ -22,6 +22,9 @@ from repro.workloads.base import Workload
 @dataclass(frozen=True)
 class ExperimentResult:
     """Everything measured over one experiment window."""
+
+    #: Store-record tag (see ``repro.sweep.store``).
+    result_kind = "experiment"
 
     config_name: str
     workload_name: str
@@ -71,6 +74,31 @@ class ExperimentResult:
         """Fraction of the window actually spent in PC6."""
         return self.package_residency.get("PC6", 0.0)
 
+    # -- persistence -------------------------------------------------------
+    def as_dict(self) -> dict:
+        """Plain-data form (exact float round-trip via JSON)."""
+        return asdict(self)
+
+    @classmethod
+    def from_dict(cls, data: dict) -> "ExperimentResult":
+        """Inverse of :meth:`as_dict`.
+
+        JSON stringifies the integer keys of the active-after-idle
+        histogram; restore them so round-tripped results compare equal
+        to freshly measured ones.
+        """
+        data = dict(data)
+        data["latency"] = LatencySummary(**data["latency"])
+        data["socwatch"] = OpportunityEstimate(**data["socwatch"])
+        data["active_after_idle_dist"] = {
+            int(n): frac for n, frac in data["active_after_idle_dist"].items()
+        }
+        # Records persisted before the kernel counters existed lack the
+        # field (or carry an explicit null); both deserialize to None.
+        if data.get("kernel") is not None:
+            data["kernel"] = MachineStats(**data["kernel"])
+        return cls(**data)
+
 
 def run_experiment(
     workload: Workload,
@@ -78,35 +106,17 @@ def run_experiment(
     duration_ns: int = 400 * MS,
     warmup_ns: int = 50 * MS,
     seed: int = 0,
-    machine: ServerMachine | None = None,
 ) -> ExperimentResult:
     """Run ``workload`` on ``config`` and measure one window.
 
-    The classic driver, kept as a thin wrapper over
-    :func:`repro.api.measure_window`; anything starting from a spec
-    should prefer :func:`repro.api.run_cell`.
+    The quick-start driver for a prebuilt workload and machine config
+    (a custom :class:`~repro.soc.config.SocConfig` included, which no
+    spec can name), built on :func:`repro.api.measure_window`;
+    anything starting from a spec should use :func:`repro.api.run_cell`.
     """
     from repro.api import measure_window
 
-    if duration_ns <= 0:
-        raise ValueError(f"duration must be positive, got {duration_ns}")
-    if warmup_ns < 0:
-        raise ValueError(f"warmup must be non-negative, got {warmup_ns}")
-    if machine is None:
-        machine = ServerMachine(config, seed=seed)
-    else:
-        # A prebuilt machine must agree with the labels the result will
-        # carry; silently preferring the machine would mislabel results.
-        if machine.config != config:
-            raise ValueError(
-                f"machine was built for config {machine.config.name!r} "
-                f"but the experiment is labelled {config.name!r}"
-            )
-        if machine.sim.seed != seed:
-            raise ValueError(
-                f"machine was built with seed {machine.sim.seed} "
-                f"but the experiment is labelled seed {seed}"
-            )
+    machine = ServerMachine(config, seed=seed)
     measure_window(machine, workload, duration_ns, warmup_ns)
     return collect_result(machine, workload, duration_ns, seed)
 

@@ -66,9 +66,6 @@ from repro.sweep.store import (
     StoreCorruption,
     StreamingCsvWriter,
     flatten_result,
-    result_from_dict,
-    result_to_dict,
-    write_csv,
 )
 from repro.sweep.supervisor import (
     CellPolicy,
@@ -107,8 +104,5 @@ __all__ = [
     "normalize_props",
     "preset_points",
     "resolved_machine_props",
-    "result_from_dict",
-    "result_to_dict",
     "warmup_for_duration",
-    "write_csv",
 ]

@@ -39,7 +39,7 @@ from repro.server.experiment import ExperimentResult
 from repro.sweep import chaos
 from repro.sweep.aggregate import CellAggregate, aggregate_over_seeds
 from repro.sweep.spec import ExperimentSpec, SweepSpec
-from repro.sweep.store import ResultStore, write_csv
+from repro.sweep.store import ResultStore, StreamingCsvWriter
 from repro.sweep.supervisor import (
     KIND_ERROR,
     AttemptFailure,
@@ -200,9 +200,12 @@ class SweepResults:
         """Per-seed aggregation (mean/CI) of every grid cell."""
         return aggregate_over_seeds(self.results, cells=self.cells)
 
-    def write_csv(self, path, columns: tuple[str, ...] | None = None) -> int:
+    def write_csv(self, path) -> int:
         """Write every cell as a CSV row (spec labels included)."""
-        return write_csv(path, self.results, columns=columns, cells=self.cells)
+        with StreamingCsvWriter(path) as writer:
+            for cell, result in zip(self.cells, self.results):
+                writer.write(result, spec=cell)
+        return writer.rows
 
 
 class SweepSession:

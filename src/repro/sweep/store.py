@@ -8,8 +8,13 @@ commit next to the figures they produced. A :class:`MemoryStore`
 offers the same interface without touching disk (used to share
 measurements between benches inside one pytest session).
 
-Records carry a sha256 checksum over their payload and a tag naming
-the result type; reads verify both, and a record that is truncated,
+Each result type owns its record codec: the record's ``kind`` tag is
+the class's ``result_kind`` and its payload is ``result.as_dict()``,
+decoded by the tagged class's ``from_dict``
+(:class:`ExperimentResult` and
+:class:`~repro.fleet.result.FleetResult` both implement the trio).
+Records carry a sha256 checksum over their payload; reads verify the
+checksum and the tag, and a record that is truncated,
 garbled, untagged, or lacks or fails its checksum is
 *sidecar-quarantined* (moved to ``<store>/quarantine/``) and treated
 as a miss — the cell re-simulates and rewrites a good record, and the
@@ -24,25 +29,16 @@ import csv
 import hashlib
 import json
 import os
-from dataclasses import asdict
 from pathlib import Path
-from typing import Iterable
 
 from repro.sweep import chaos
 
 from repro.server.experiment import ExperimentResult
-from repro.server.stats import LatencySummary, MachineStats
 from repro.sweep.spec import ExperimentSpec
-from repro.tracing.socwatch import OpportunityEstimate
 
 
 class StoreCorruption(ValueError):
     """A store record exists on disk but cannot be trusted."""
-
-
-def result_to_dict(result: ExperimentResult) -> dict:
-    """Plain-data form of a result (exact float round-trip via JSON)."""
-    return asdict(result)
 
 
 def _checksum(payload: dict) -> str:
@@ -51,55 +47,14 @@ def _checksum(payload: dict) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
-def _encode_result(result) -> tuple[str, dict]:
-    """(kind tag, plain-data payload) for any storable result type.
+def _result_types() -> dict:
+    """``result_kind`` tag -> result class, for decoding records."""
+    from repro.fleet.result import FleetResult
 
-    Single-server cells store :class:`ExperimentResult`; fleet cells
-    store :class:`~repro.fleet.result.FleetResult`, which carries its
-    own ``result_kind`` tag and ``as_dict``/``from_dict`` pair. The
-    tag is persisted in the record so :meth:`ResultStore.get` can
-    decode without guessing.
-    """
-    if isinstance(result, ExperimentResult):
-        return "experiment", result_to_dict(result)
-    kind = getattr(result, "result_kind", None)
-    if kind == "fleet":
-        return kind, result.as_dict()
-    raise TypeError(f"cannot store a result of type {type(result).__name__!r}")
+    return {cls.result_kind: cls for cls in (ExperimentResult, FleetResult)}
 
 
-def _decode_result(kind: str | None, data: dict):
-    """Inverse of :func:`_encode_result`."""
-    if kind == "experiment":
-        return result_from_dict(data)
-    if kind == "fleet":
-        from repro.fleet.result import FleetResult
-
-        return FleetResult.from_dict(data)
-    raise ValueError(f"unknown result kind {kind!r}")
-
-
-def result_from_dict(data: dict) -> ExperimentResult:
-    """Inverse of :func:`result_to_dict`.
-
-    JSON stringifies the integer keys of the active-after-idle
-    histogram; restore them so round-tripped results compare equal to
-    freshly measured ones.
-    """
-    data = dict(data)
-    data["latency"] = LatencySummary(**data["latency"])
-    data["socwatch"] = OpportunityEstimate(**data["socwatch"])
-    data["active_after_idle_dist"] = {
-        int(n): frac for n, frac in data["active_after_idle_dist"].items()
-    }
-    # Records persisted before the kernel counters existed lack the
-    # field (or carry an explicit null); both deserialize to None.
-    if data.get("kernel") is not None:
-        data["kernel"] = MachineStats(**data["kernel"])
-    return ExperimentResult(**data)
-
-
-#: Column order of :func:`flatten_result` / :func:`write_csv`.
+#: Column order of :func:`flatten_result`.
 CSV_COLUMNS = (
     "offered_qps",
     "config",
@@ -148,54 +103,18 @@ def flatten_result(
     }
 
 
-def write_csv(
-    path: str | Path,
-    results: Iterable[ExperimentResult],
-    columns: tuple[str, ...] | None = None,
-    cells: Iterable[ExperimentSpec] | None = None,
-) -> int:
-    """Write results as CSV; returns the row count.
-
-    ``columns`` restricts/orders the columns (default: everything
-    :func:`flatten_result` produces); ``cells`` supplies the aligned
-    specs so spec-side labels (the preset) reach the rows.
-    """
-    results = list(results)
-    if cells is not None:
-        cells = list(cells)
-        if len(cells) != len(results):
-            raise ValueError(f"{len(results)} results but {len(cells)} cells")
-        rows = [
-            flatten_result(result, spec=cell)
-            for result, cell in zip(results, cells)
-        ]
-    else:
-        rows = [flatten_result(result) for result in results]
-    if columns is None:
-        columns = CSV_COLUMNS
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="") as handle:
-        writer = csv.DictWriter(handle, fieldnames=columns, extrasaction="ignore")
-        writer.writeheader()
-        writer.writerows(rows)
-    return len(rows)
-
-
 class StreamingCsvWriter:
     """Writes sweep CSV rows as cells complete, in cell order.
 
-    Produces byte-identical output to :func:`write_csv` without
-    buffering the grid: the session's ordered ``on_result`` hook feeds
+    The one CSV writer: the session's ordered ``on_result`` hook feeds
     it one (cell, result) at a time, so a huge sweep's rows hit disk
-    while later cells are still simulating.
+    while later cells are still simulating, and
+    :meth:`SweepResults.write_csv` feeds it a finished grid.
 
     Rows stream into a same-directory temp file that only replaces
-    ``path`` on a clean :meth:`close` — a failed or interrupted sweep
-    never clobbers the complete CSV of a previous run (the same
-    write-after-success property the buffered :func:`write_csv` path
-    has always had). Leaving a ``with`` block via an exception
-    discards the temp file instead.
+    ``path`` on a clean :meth:`close` — a failed sweep never clobbers
+    the complete CSV of a previous run. Leaving a ``with`` block via
+    an exception discards the temp file instead.
     """
 
     def __init__(
@@ -303,7 +222,8 @@ class ResultStore:
         if record.get("sha256") != _checksum(record["result"]):
             raise StoreCorruption(f"record {path.name} fails its checksum")
         try:
-            return _decode_result(record.get("kind"), record["result"])
+            result_type = _result_types()[record.get("kind")]
+            return result_type.from_dict(record["result"])
         except (ValueError, KeyError, TypeError) as error:
             raise StoreCorruption(
                 f"record {path.name} does not decode: "
@@ -357,10 +277,10 @@ class ResultStore:
         name carries the writer's PID so concurrent puts of one key
         never interleave, and a failed write cleans its temp file up.
         """
-        kind, payload = _encode_result(result)
+        payload = result.as_dict()
         record = {
             "key": key,
-            "kind": kind,
+            "kind": result.result_kind,
             "sha256": _checksum(payload),
             "spec": spec.as_dict() if spec is not None else None,
             "result": payload,

@@ -1,18 +1,21 @@
-"""Pinned defaults of the grid commands (``sweep``, ``fleet``, ``export``).
+"""The grid commands (``sweep``, ``fleet``, ``export``) at the CLI.
 
 A bare invocation of each command is parsed and every resulting value
 is compared against a literal, together with each flag's spelling, its
 type and its choices — so a refactor of the argument plumbing cannot
-silently drop a flag or move a default.
+silently drop a flag or move a default. All three run through one grid
+runner, so a failed cell is reported the same way by each.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 
 import pytest
 
-from repro.cli import build_parser
+from repro.cli import build_parser, main
+from repro.sweep import chaos
 
 WORKLOADS = [
     "memcached", "mysql", "kafka", "idle", "nginx", "rpc-fanout",
@@ -72,16 +75,17 @@ EXPECTED = {
         {"workload": WORKLOADS, "scenario": WORKLOADS},
     ),
     "export": (
-        {"configs": "Cshallow,CPC1A", "duration_ms": 100,
-         "out": "results/sweep.csv", "preset": "low", "progress": None,
-         "qps": 20000, "rates": "0,4000,10000,25000,50000,100000",
-         "seed": 0, "set_props": [], "store": None, "warmup_ms": 20,
-         "workers": 1, "workload": "memcached"},
+        {"cell_deadline": None, "configs": "Cshallow,CPC1A",
+         "duration_ms": 100, "max_retries": 3, "out": "results/sweep.csv",
+         "preset": "low", "progress": None, "quarantine_report": None,
+         "rates": "0,4000,10000,25000,50000,100000", "retry_backoff": 0.05,
+         "seed": 0, "set_props": [], "stats_json": None, "store": None,
+         "warmup_ms": 20, "workers": 1, "workload": "memcached"},
         {"--configs", "--duration-ms", "--help", "--no-progress", "--out",
-         "--preset", "--progress", "--qps", "--rates", "--seed", "--set",
+         "--preset", "--progress", "--rates", "--seed", "--set",
          "--store", "--warmup-ms", "--workers", "--workload", "-h"},
-        {"qps": "float", "duration_ms": "int", "warmup_ms": "int",
-         "seed": "int", "workers": "int"},
+        {"duration_ms": "int", "warmup_ms": "int", "seed": "int",
+         "workers": "int"},
         {"workload": WORKLOADS},
     ),
 }
@@ -107,3 +111,31 @@ def test_bare_command_defaults_are_pinned(command):
     assert {flag for action in actions for flag in action.option_strings} == flags
     assert {a.dest: a.type.__name__ for a in actions if a.type} == types
     assert {a.dest: list(a.choices) for a in actions if a.choices} == choices
+
+
+#: One CPC1A memcached cell per grid command, and that cell's label.
+ONE_CELL = {
+    "sweep": (["--rates", "8000", "--configs", "CPC1A"],
+              "CPC1A/memcached@8000/seed1"),
+    "fleet": (["--rates", "8000", "--configs", "CPC1A",
+               "--routing", "round-robin"],
+              "/memcached@8000/seed1"),
+    "export": (["--rates", "8000", "--configs", "CPC1A"],
+               "CPC1A/memcached@8000/seed0"),
+}
+
+
+@pytest.mark.parametrize("command", sorted(ONE_CELL))
+def test_every_grid_command_reports_failed_cells(command, tmp_path, monkeypatch):
+    grid, label = ONE_CELL[command]
+    out = tmp_path / "grid.csv"
+    monkeypatch.setenv(chaos.ENV_VAR, "seed=1,fault=1")
+    code = main([
+        command, *grid, "--duration-ms", "5", "--warmup-ms", "1",
+        "--workers", "1", "--no-progress", "--out", str(out),
+    ])
+    assert code == 1
+    report = json.loads((tmp_path / "grid.csv.quarantine.json").read_text())
+    (cell,) = report["quarantined"]
+    assert cell["label"].endswith(label)
+    assert len(out.read_text().splitlines()) == 1  # the header only

@@ -75,17 +75,14 @@ class TestExperimentResultViews:
         assert result.pc1a_residency() == 0.0
 
     def test_reusing_a_machine_instance(self):
+        from repro.api import measure_window
+        from repro.server.experiment import collect_result
         from repro.server.machine import ServerMachine
 
         machine = ServerMachine(cpc1a(), seed=8)
-        first = run_experiment(
-            NullWorkload(),
-            cpc1a(),
-            duration_ns=5 * MS,
-            warmup_ns=1 * MS,
-            seed=8,
-            machine=machine,
-        )
+        workload = NullWorkload()
+        measure_window(machine, workload, 5 * MS, 1 * MS)
+        first = collect_result(machine, workload, 5 * MS, seed=8)
         # The same machine can be measured again for a second window.
         machine.begin_measurement()
         machine.run_for(5 * MS)

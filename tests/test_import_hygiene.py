@@ -2,7 +2,7 @@
 
 ``repro.api.run_cell`` runs a cell and ``SweepSession.run`` runs a
 grid, always on a freshly built runtime; the result store is the one
-record of finished work. The removed alternatives, compat aliases,
+record of finished work, and each result type owns its record codec. The removed alternatives, compat aliases,
 warm-runtime recycling, the run journal and the duplicate hit tallies
 must stay removed, and ``import repro`` must not pull in heavyweight
 dependencies the package does not need.
@@ -49,6 +49,14 @@ REMOVED = [
     ("repro.sweep", "QuarantineExhausted"),
     ("repro.sweep.supervisor", "QuarantineExhausted"),
     ("repro.workloads", "build_workload"),
+    ("repro.sweep", "result_to_dict"),
+    ("repro.sweep", "result_from_dict"),
+    ("repro.sweep", "write_csv"),
+    ("repro.sweep.store", "result_to_dict"),
+    ("repro.sweep.store", "result_from_dict"),
+    ("repro.sweep.store", "write_csv"),
+    ("repro.sweep.store", "_encode_result"),
+    ("repro.sweep.store", "_decode_result"),
 ]
 
 #: Modules deleted outright; names listed above under one of them are
@@ -120,6 +128,14 @@ def test_the_store_is_the_one_record_of_finished_work(tmp_path):
     assert "worker_store_hits" not in session.last_run_stats
     fields = CellPolicy.__dataclass_fields__
     assert sorted(fields) == ["deadline_s", "max_retries", "retry_backoff_s"]
+
+
+def test_run_experiment_builds_its_own_machine():
+    import inspect
+
+    from repro.server.experiment import run_experiment
+
+    assert "machine" not in inspect.signature(run_experiment).parameters
 
 
 @pytest.mark.parametrize(("module", "owner", "name"), RECYCLE_STUBS)

@@ -142,48 +142,6 @@ class TestWindowInvariants:
         assert len(machine.active_sampler.samples) == expected
 
 
-class TestPrebuiltMachineValidation:
-    """``run_experiment`` must refuse a machine whose config or seed
-    disagrees with the labels the result would carry."""
-
-    def test_matching_machine_is_accepted(self):
-        machine = ServerMachine(cpc1a(), seed=9)
-        result = run_experiment(
-            NullWorkload(),
-            cpc1a(),
-            duration_ns=4 * MS,
-            warmup_ns=1 * MS,
-            seed=9,
-            machine=machine,
-        )
-        assert result.seed == 9
-        assert result.config_name == "CPC1A"
-
-    def test_config_mismatch_raises(self):
-        machine = ServerMachine(cpc1a(), seed=0)
-        with pytest.raises(ValueError, match="config"):
-            run_experiment(
-                NullWorkload(),
-                cshallow(),
-                duration_ns=4 * MS,
-                warmup_ns=1 * MS,
-                seed=0,
-                machine=machine,
-            )
-
-    def test_seed_mismatch_raises(self):
-        machine = ServerMachine(cpc1a(), seed=8)
-        with pytest.raises(ValueError, match="seed"):
-            run_experiment(
-                NullWorkload(),
-                cpc1a(),
-                duration_ns=4 * MS,
-                warmup_ns=1 * MS,
-                seed=0,
-                machine=machine,
-            )
-
-
 class TestMeasureDurationGuard:
     """`measure(duration_ns=0)` must raise, not silently fall back to
     the rate heuristic (the old ``duration_ns or ...`` bug)."""

@@ -21,8 +21,6 @@ from repro.sweep import (
     flatten_result,
     memcached_points,
     preset_points,
-    result_from_dict,
-    result_to_dict,
     warmup_for_duration,
 )
 from repro.tracing.socwatch import OpportunityEstimate
@@ -178,7 +176,7 @@ class TestResultStore:
 
     def test_serialization_restores_int_histogram_keys(self):
         result = _synthetic_result(seed=1, power=30.0)
-        round_tripped = result_from_dict(result_to_dict(result))
+        round_tripped = ExperimentResult.from_dict(result.as_dict())
         assert round_tripped == result
         assert all(isinstance(k, int) for k in round_tripped.active_after_idle_dist)
 

@@ -31,7 +31,6 @@ from repro.sweep import (
     SweepSession,
     SweepSpec,
     WorkloadPoint,
-    result_to_dict,
 )
 from repro.sweep import chaos, supervisor
 from repro.sweep.store import _checksum
@@ -386,7 +385,7 @@ class TestStoreRobustness:
         monkeypatch.delenv(chaos.ENV_VAR)
         store.put(spec.key(), result, spec=spec)
         loaded = store.get(spec.key())
-        assert result_to_dict(loaded) == result_to_dict(result)
+        assert loaded.as_dict() == result.as_dict()
 
     def test_checksum_is_canonical(self):
         assert _checksum({"a": 1, "b": 2}) == _checksum({"b": 2, "a": 1})
@@ -420,8 +419,8 @@ class TestChaosSweepIdentity:
             chaotic = session.run(spec)
             stats = session.last_run_stats
         assert chaotic.quarantined == []
-        assert [result_to_dict(r) for r in chaotic.results] == [
-            result_to_dict(r) for r in clean.results
+        assert [r.as_dict() for r in chaotic.results] == [
+            r.as_dict() for r in clean.results
         ]
         faults = stats["worker_deaths"] + stats["retries"] + stats["requeues"]
         assert faults > 0, f"chaos injected nothing: {stats}"
