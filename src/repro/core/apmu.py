@@ -237,11 +237,10 @@ class Apmu(PackageController):
         self.sim.schedule(timings.entry_done_at_ns, self._entry_declare)
 
     def _entry_gate_clm(self) -> None:
-        self.clmr.clk_gate.set(True)
+        self.clmr.gate_clock()
 
     def _entry_drop_voltage(self) -> None:
-        self.clmr.ret.set(True)
-        self.clmr.retention_entries += 1
+        self.clmr.enter_retention()
 
     def _entry_allow_cke_off(self) -> None:
         self.iosm.allow_cke_off.set(True)
@@ -318,7 +317,7 @@ class Apmu(PackageController):
         self.clmr.pwr_ok.watch(watcher)
 
     def _when_mcs_active(self, fn) -> None:
-        if all(mc.state == "active" for mc in self.iosm.memory_controllers):
+        if self.iosm.all_mcs_active:
             fn()
             return
         self._mcs_active_waiter = fn
@@ -326,7 +325,7 @@ class Apmu(PackageController):
     def _on_mc_state_change(self, new_state: str) -> None:
         if self._mcs_active_waiter is None:
             return
-        if all(mc.state == "active" for mc in self.iosm.memory_controllers):
+        if self.iosm.all_mcs_active:
             waiter, self._mcs_active_waiter = self._mcs_active_waiter, None
             waiter()
 

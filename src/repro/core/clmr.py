@@ -50,11 +50,16 @@ class ClmrController:
         return self.clm.clock_tree.clk_gate
 
     # -- invariant-checked operations ------------------------------------------
-    def gate_and_drop(self) -> None:
-        """PC1A entry branch (i): gate the clock, command retention."""
-        if not self.clm.pll.locked:
-            raise ClmrError("CLM PLL lost lock: PC1A must keep PLLs on")
+    def gate_clock(self) -> None:
+        """PC1A entry branch (i), first command: gate the CLM clock."""
+        self._check_pll()
         self.clk_gate.set(True)
+
+    def enter_retention(self) -> None:
+        """PC1A entry branch (i), second command: retention voltage."""
+        self._check_pll()
+        if not self.clk_gate.value:
+            raise ClmrError("retention before ClkGate would clock a sagging domain")
         self.ret.set(True)
         self.retention_entries += 1
 
@@ -66,9 +71,12 @@ class ClmrController:
         """PC1A exit step 5: ungate after ``PwrOk`` (checked)."""
         if not self.pwr_ok.value:
             raise ClmrError("ungate before PwrOk would clock an unstable domain")
+        self._check_pll()
+        self.clk_gate.set(False)
+
+    def _check_pll(self) -> None:
         if not self.clm.pll.locked:
             raise ClmrError("CLM PLL lost lock: PC1A must keep PLLs on")
-        self.clk_gate.set(False)
 
     # -- status ------------------------------------------------------------
     @property

@@ -4,17 +4,14 @@ The APC architecture (paper Fig. 3) is held together by a handful of
 single-bit signals: ``InCC1`` per core, ``InL0s`` per IO controller,
 ``AllowL0s``, ``Allow_CKE_OFF``, ``Ret``, ``PwrOk``, ``ClkGate``,
 ``WakeUp`` and ``InPC1A``. We model each as a :class:`Signal` whose
-watchers are notified synchronously on a value change. Propagation
-delay through the routing fabric can be modelled explicitly with
-``delay_ns`` (default 0: the APMU flow already accounts for its FSM
-cycle latencies, so wire delay is second-order).
+watchers are notified synchronously on a value change. Wire delay is
+not modelled: the APMU flow already accounts for its FSM cycle
+latencies, so routing delay is second-order.
 """
 
 from __future__ import annotations
 
 from typing import Callable, Iterable
-
-from repro.sim.engine import Simulator
 
 
 class SignalError(RuntimeError):
@@ -25,7 +22,7 @@ WatchFn = Callable[["Signal", bool, bool], None]
 
 
 class Signal:
-    """A single-bit wire with change notification.
+    """A single-bit wire with synchronous change notification.
 
     Parameters
     ----------
@@ -33,28 +30,17 @@ class Signal:
         Diagnostic name, e.g. ``"core3.InCC1"``.
     value:
         Initial level.
-    sim, delay_ns:
-        When both given, level changes propagate to watchers after
-        ``delay_ns`` via the simulator (modelling routing delay).
-        Otherwise propagation is immediate and synchronous.
+
+    Watchers are kept in a tuple that :meth:`watch`/:meth:`unwatch`
+    replace rather than mutate, so a dispatch iterates the snapshot
+    taken when the level changed: a watcher added or removed by
+    another watcher takes effect from the next change.
     """
 
-    def __init__(
-        self,
-        name: str,
-        value: bool = False,
-        sim: Simulator | None = None,
-        delay_ns: int = 0,
-    ):
-        if delay_ns < 0:
-            raise SignalError(f"delay must be non-negative, got {delay_ns}")
-        if delay_ns > 0 and sim is None:
-            raise SignalError("a simulator is required for delayed signals")
+    def __init__(self, name: str, value: bool = False):
         self.name = name
         self._value = bool(value)
-        self._watchers: list[WatchFn] = []
-        self._sim = sim
-        self._delay_ns = delay_ns
+        self._watchers: tuple[WatchFn, ...] = ()
         self.transitions = 0
 
     @property
@@ -65,12 +51,7 @@ class Signal:
     def set(self, value: bool) -> None:
         """Drive the wire; watchers fire only on an actual change."""
         value = bool(value)
-        if value == self._value:
-            return
-        if self._delay_ns > 0:
-            assert self._sim is not None
-            self._sim.schedule(self._delay_ns, self._apply, value)
-        else:
+        if value != self._value:
             self._apply(value)
 
     def assert_(self) -> None:
@@ -83,18 +64,20 @@ class Signal:
 
     def watch(self, fn: WatchFn) -> None:
         """Register ``fn(signal, old, new)`` to run on level changes."""
-        self._watchers.append(fn)
+        self._watchers += (fn,)
 
     def unwatch(self, fn: WatchFn) -> None:
         """Remove a previously registered watcher."""
-        self._watchers.remove(fn)
+        watchers = list(self._watchers)
+        watchers.remove(fn)
+        self._watchers = tuple(watchers)
 
     def _apply(self, value: bool) -> None:
         if value == self._value:
             return
         old, self._value = self._value, value
         self.transitions += 1
-        for fn in list(self._watchers):
+        for fn in self._watchers:
             fn(self, old, value)
 
     def __bool__(self) -> bool:
@@ -109,8 +92,10 @@ class AndTree:
 
     The paper aggregates per-core ``InCC1`` and per-controller
     ``InL0s`` through AND gates of neighbouring units to save routing
-    (Sec. 5.3). Functionally the tree is a wide AND; we additionally
-    expose ``levels(fan_in)`` so the area model can count gate stages.
+    (Sec. 5.3). Functionally the tree is a wide AND, kept as a count
+    of high inputs that each input edge moves by one, so an edge costs
+    O(1) however wide the tree. We additionally expose
+    ``levels(fan_in)`` so the area model can count gate stages.
 
     The output signal must not be driven externally.
     """
@@ -120,7 +105,8 @@ class AndTree:
         self.inputs = list(inputs)
         if not self.inputs:
             raise SignalError(f"AND tree {name!r} needs at least one input")
-        self.output = Signal(f"{name}.out", value=all(s.value for s in self.inputs))
+        self._high = sum(1 for s in self.inputs if s.value)
+        self.output = Signal(f"{name}.out", value=self._high == len(self.inputs))
         self.output.set = self._reject_drive  # type: ignore[method-assign]
         for signal in self.inputs:
             signal.watch(self._on_input_change)
@@ -129,7 +115,8 @@ class AndTree:
         raise SignalError(f"AND tree output {self.output.name!r} cannot be driven")
 
     def _on_input_change(self, signal: Signal, old: bool, new: bool) -> None:
-        Signal._apply(self.output, all(s.value for s in self.inputs))
+        self._high += 1 if new else -1
+        Signal._apply(self.output, self._high == len(self.inputs))
 
     @property
     def value(self) -> bool:

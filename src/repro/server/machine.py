@@ -201,11 +201,16 @@ class ServerMachine:
         #: Optional completion hook (a fleet's load balancer uses it to
         #: track per-server outstanding requests).
         self.on_request_complete = None
-        # Observability: the fully-idle signal and its consumers.
-        self._all_idle_tree = AndTree(
-            "machine.AllIdle", [core.in_cc1 for core in self.cores]
-        )
-        self.all_idle = self._all_idle_tree.output
+        # Observability: the fully-idle signal and its consumers. The
+        # APMU already ANDs every core's InCC1, so its tree doubles as
+        # the view (the APMU watched it first, so it still hears each
+        # edge first); other machines build their own.
+        if self.apmu is not None:
+            self.all_idle = self.apmu.all_cc1.output
+        else:
+            self.all_idle = AndTree(
+                "machine.AllIdle", [core.in_cc1 for core in self.cores]
+            ).output
         self.idle_tracker = IdlePeriodTracker(self.sim, self.all_idle)
         self.socwatch = SocWatchView(self.idle_tracker)
         self.active_sampler = ActiveAfterIdleSampler(

@@ -9,6 +9,7 @@ the Sec. 5.5 analytical model exactly.
 
 import pytest
 
+from repro.core.clmr import ClmrError
 from repro.core.latency import Pc1aLatencyModel
 from repro.soc.cpu import Job
 from repro.soc.package import PackageCState
@@ -92,6 +93,30 @@ class TestPc1aEntry:
         assert machine.meter.power_w("dram") == pytest.approx(
             budget.dram_power_w("PC1A"), abs=0.1
         )
+
+
+    def test_unlocked_clm_pll_fails_next_entry(self, apc_machine):
+        # PC1A keeps every PLL locked; an entry that finds the CLM PLL
+        # unlocked must stop at the checked CLMR step, clock ungated.
+        machine = apc_machine
+        settle(machine)
+        machine.cores[0].submit(Job("work", 100 * US))
+        settle(machine, 50 * US)
+        assert machine.apmu.phase == "pc0"
+        machine.clm.pll.power_off()
+        with pytest.raises(ClmrError):
+            settle(machine, 200 * US)
+        assert not machine.clmr.clk_gate.value
+        assert machine.clmr.retention_entries == 1
+
+    def test_retention_counted_once_per_entry(self, apc_machine):
+        machine = apc_machine
+        settle(machine)
+        for _ in range(3):
+            machine.apmu.gpmu_wakeup.set(True)
+            settle(machine, 100 * US)
+        assert machine.apmu.pc1a_entries == 4
+        assert machine.clmr.retention_entries == 4
 
 
 class TestPc1aExit:

@@ -60,7 +60,8 @@ class TestClmr:
     def test_gate_and_drop_reaches_retention(self, sim):
         clm, _ = make_clm(sim)
         clmr = ClmrController(clm)
-        clmr.gate_and_drop()
+        clmr.gate_clock()
+        clmr.enter_retention()
         sim.run()
         assert clmr.at_retention
         assert clm.clock_tree.gated
@@ -69,7 +70,8 @@ class TestClmr:
     def test_ungate_before_pwr_ok_rejected(self, sim):
         clm, _ = make_clm(sim)
         clmr = ClmrController(clm)
-        clmr.gate_and_drop()
+        clmr.gate_clock()
+        clmr.enter_retention()
         sim.run()
         clmr.raise_voltage()  # ramp starts; PwrOk low
         with pytest.raises(ClmrError):
@@ -78,7 +80,8 @@ class TestClmr:
     def test_full_retention_roundtrip(self, sim):
         clm, meter = make_clm(sim)
         clmr = ClmrController(clm)
-        clmr.gate_and_drop()
+        clmr.gate_clock()
+        clmr.enter_retention()
         sim.run()
         assert meter["clm"].power_w == pytest.approx(DEFAULT_BUDGET.clm.retention_w)
         clmr.raise_voltage()
@@ -93,7 +96,18 @@ class TestClmr:
         clmr = ClmrController(clm)
         clm.pll.power_off()
         with pytest.raises(ClmrError):
-            clmr.gate_and_drop()
+            clmr.gate_clock()
+        with pytest.raises(ClmrError):
+            clmr.enter_retention()
+        assert not clmr.clk_gate.value and not clmr.ret.value
+
+    def test_retention_requires_gated_clock(self, sim):
+        clm, _ = make_clm(sim)
+        clmr = ClmrController(clm)
+        with pytest.raises(ClmrError):
+            clmr.enter_retention()
+        assert not clmr.ret.value
+        assert clmr.retention_entries == 0
 
     def test_attach_requires_locked_pll(self, sim):
         clm, _ = make_clm(sim)

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.hw import AndTree, FsmError, Signal, SignalError, TimedFsm
-from repro.sim import Simulator
 
 
 class TestSignal:
@@ -60,24 +59,6 @@ class TestSignal:
     def test_bool_conversion(self):
         assert bool(Signal("s", value=True))
         assert not bool(Signal("s"))
-
-    def test_delayed_signal_propagates_via_sim(self):
-        sim = Simulator()
-        s = Signal("s", sim=sim, delay_ns=10)
-        seen = []
-        s.watch(lambda sig, old, new: seen.append((sim.now, new)))
-        s.set(True)
-        assert s.value is False  # not yet propagated
-        sim.run()
-        assert seen == [(10, True)]
-
-    def test_delay_requires_sim(self):
-        with pytest.raises(SignalError):
-            Signal("s", delay_ns=5)
-
-    def test_negative_delay_rejected(self):
-        with pytest.raises(SignalError):
-            Signal("s", sim=Simulator(), delay_ns=-1)
 
 
 class TestAndTree:
