@@ -17,7 +17,8 @@ either side (cells/sec is best-of):
   ``multiprocessing.Pool`` per run, chunksize-1 ordered ``imap``,
   fresh machine per cell.
 * ``parallel_session`` — a persistent :class:`SweepSession`: warm
-  pool, fresh machine per cell, batched unordered dispatch.
+  pool, fresh machine per cell, unordered dispatch with one cell in
+  flight per worker.
 
 The grid is the acceptance grid of the sweep-throughput work: 3
 configs x 4 rates x 3 seeds at 50 ms windows — short cells by
@@ -115,7 +116,7 @@ def run_parallel_legacy(cells, workers: int) -> float:
 
 
 def run_session(session: SweepSession, cells) -> float:
-    """Session model: warm pool, batched unordered dispatch."""
+    """Session model: warm pool, single-flight unordered dispatch."""
     start = time.perf_counter()
     session.run(cells)
     return time.perf_counter() - start

@@ -16,9 +16,9 @@ this package turns "one figure" into data:
   :class:`ExperimentSpec` cells (plain, picklable data); a ``props``
   axis grids platform-property overrides (``repro props list``) on
   top of the named configs;
-- :class:`SweepSession` fans cells out over a worker pool and keeps
-  the pool alive across runs; every cell builds a fresh runtime, so
-  parallel == serial bit-for-bit;
+- :class:`SweepSession` fans cells out over a worker pool, one cell
+  in flight per worker, and keeps the pool alive across runs; every
+  cell builds a fresh runtime, so parallel == serial bit-for-bit;
 - :class:`ResultStore` caches results under content-hash keys, making
   re-runs of unchanged cells instant (reads are checksum-verified;
   corrupt records are quarantined and re-simulated); it is also the

@@ -16,13 +16,16 @@ worker pool per ``run()`` call and chunksize-1 ordered dispatch.
 * a **fresh build per cell** — every cell constructs its own runtime
   (``Cell.build``) and the session keeps no reference to it once the
   result is collected, so no state crosses cells; the cyclic garbage
-  collector is kept off the runtime while it is built and run (see
-  ``_build_and_run``);
-* **unordered dispatch** — cells ship to whichever worker frees up;
-  the deterministic cell order of the returned :class:`SweepResults`
-  is reconstructed from cache keys, so results stay bit-identical to
-  serial runs (retried cells re-simulate deterministically, so even a
-  chaos-ridden run converges to the same bytes);
+  collector is kept off the runtime while it is built and run, and
+  dead runtimes are reclaimed by a budgeted collection before a build
+  (see ``_build_and_run``);
+* **unordered single-flight dispatch** — each worker has one cell in
+  flight and reports it the moment it finishes, so the next cell goes
+  to whichever worker frees up; the deterministic cell order of the
+  returned :class:`SweepResults` is reconstructed from cache keys, so
+  results stay bit-identical to serial runs (retried cells
+  re-simulate deterministically, so even a chaos-ridden run converges
+  to the same bytes);
 * **streaming** — store records are written as results arrive (by the
   worker itself for disk stores, so a finished cell survives the
   death of the parent and a rerun with the same store picks it up),
@@ -96,6 +99,17 @@ def _cell_label(spec) -> str:
             return type(spec).__name__
 
 
+#: A pre-build collection runs only once the cells since the last one
+#: have used this many times the cheapest one's CPU time (see
+#: ``_build_and_run``).
+_COLLECT_BUDGET = 10.0
+#: CPU seconds the cheapest pre-build collection took (0 until one has
+#: run), and the CPU seconds cells have used since the last one.
+#: Process-wide, like the heap they walk.
+_cheapest_collect_s = 0.0
+_since_collect_s = 0.0
+
+
 def _build_and_run(spec):
     """Build ``spec``'s runtime and run it, keeping the cyclic GC off it.
 
@@ -106,7 +120,7 @@ def _build_and_run(spec):
     wasted work: a 1,000-server fleet build took 4x the CPU with the
     collector on. So, in order, it
 
-    1. reclaims the previous cell's dead runtime with one collection —
+    1. reclaims earlier cells' dead runtimes with one collection —
        before the build, so dead runtimes never pile up (a frozen
        graph is otherwise reclaimed only by a later full pass) and the
        last cell's graph is never walked before the sweep returns;
@@ -115,19 +129,43 @@ def _build_and_run(spec):
        the run walk only what the run allocates;
     4. unfreezes once the result is in hand.
 
+    The collection in step 1 is budgeted: it runs only once the cells
+    since the last one have used ``_COLLECT_BUDGET`` times the CPU time
+    of the cheapest collection this process has run. A full pass over
+    a worker's heap costs milliseconds even when it frees nothing, more
+    than a short cell, so back-to-back short cells share one; a cell
+    that costs more than the budget is followed by a collection before
+    the next build, as if there were no budget. The budget is priced
+    from the cheapest collection, not the last: a collection's cost is
+    a walk over the live heap plus freeing the garbage it finds, and
+    only the walk is overhead (the freeing is owed whenever it runs).
+    The cheapest collection is the one closest to freeing nothing. A
+    budget priced from the last collection would feed on itself: each
+    skipped collection leaves more garbage for the next, which makes
+    it dearer and raises the next threshold, until dead runtimes pile
+    up. Priced from the cheapest, the threshold never rises, so the
+    garbage left between collections stays bounded.
+
     The caller's collector state (enabled or disabled) is restored
     even when the cell raises, and nothing is left frozen, including
     anything the caller froze itself. The model never observes the
     collector, so simulated results cannot depend on this.
     """
+    global _cheapest_collect_s, _since_collect_s
     # Resolved at call time: profilers wrap repro.api.run_cell from
     # outside, and a module-level import would close the
     # api -> session import cycle.
     from repro.api import run_cell
 
     enabled = gc.isenabled()
-    build_start = process_time()
-    gc.collect()
+    build_start = cell_start = process_time()
+    if _since_collect_s >= _COLLECT_BUDGET * _cheapest_collect_s:
+        gc.collect()
+        cell_start = process_time()
+        took = cell_start - build_start
+        if not _cheapest_collect_s or took < _cheapest_collect_s:
+            _cheapest_collect_s = took
+        _since_collect_s = 0.0
     gc.disable()
     try:
         runtime = spec.build()
@@ -138,7 +176,9 @@ def _build_and_run(spec):
     try:
         sim_start = process_time()
         result = run_cell(spec, runtime=runtime)
-        return result, sim_start - build_start, process_time() - sim_start
+        sim_end = process_time()
+        _since_collect_s += sim_end - cell_start
+        return result, sim_start - build_start, sim_end - sim_start
     finally:
         gc.unfreeze()
 
@@ -153,10 +193,11 @@ def _cell_task(payload, attempt: int = 1):
     The cell is built fresh and run by :func:`_build_and_run`, which
     keeps the cyclic garbage collector off the runtime's object graph
     and hands the caller's collector state back unchanged, even on a
-    raise. ``build_s`` (which includes reclaiming the previous cell's
-    runtime) and ``simulate_s`` are CPU seconds, not wall: with more
-    workers than cores the wall clock charges descheduled time to
-    whichever cell was in flight, which would garble the split.
+    raise. ``build_s`` (which includes any collection reclaiming
+    earlier cells' runtimes) and ``simulate_s`` are CPU seconds, not
+    wall: with more workers than cores the wall clock charges
+    descheduled time to whichever cell was in flight, which would
+    garble the split.
 
     With a disk store the worker persists the result itself, so a
     finished cell is on disk even if the parent dies before it hears

@@ -3,7 +3,8 @@
 ``repro.api.run_cell`` runs a cell and ``SweepSession.run`` runs a
 grid, always on a freshly built runtime; the result store is the one
 record of finished work, and each result type owns its record codec. The removed alternatives, compat aliases,
-warm-runtime recycling, the run journal and the duplicate hit tallies
+warm-runtime recycling, the run journal, the duplicate hit tallies and
+the supervisor's prefetch, result batching and progress side-pipe
 must stay removed, and ``import repro`` must not pull in heavyweight
 dependencies the package does not need.
 """
@@ -57,6 +58,7 @@ REMOVED = [
     ("repro.sweep.store", "write_csv"),
     ("repro.sweep.store", "_encode_result"),
     ("repro.sweep.store", "_decode_result"),
+    ("repro.sweep.supervisor", "_PREFETCH"),
 ]
 
 #: Modules deleted outright; names listed above under one of them are
@@ -81,6 +83,8 @@ REMOVED_ATTRIBUTES = [
     ("repro.sweep.supervisor", "CellPolicy", "prefetch"),
     ("repro.sweep.supervisor", "CellPolicy", "respawn_backoff_s"),
     ("repro.sweep.supervisor", "CellPolicy", "respawn_backoff_cap_s"),
+    ("repro.sweep.supervisor", "SweepSupervisor", "_drain_progress"),
+    ("repro.sweep.supervisor", "SweepSupervisor", "_drain_stale"),
 ]
 
 #: Names the benchmark's probe installer still binds; each one raises.
@@ -182,3 +186,17 @@ def test_import_repro_does_not_load_networkx():
         env=env, check=True, timeout=120,
     ).stdout
     assert out.strip() == "False"
+
+
+def test_the_supervisor_has_one_cell_in_flight_and_one_report_path():
+    from repro.sweep.supervisor import SweepSupervisor, _Worker
+
+    supervisor = SweepSupervisor(1, print)
+    try:
+        for name in ("_lost", "_depth", "_flush", "_use_progress"):
+            assert not hasattr(supervisor, name), name
+    finally:
+        supervisor.close()
+    assert sorted(_Worker.__dataclass_fields__) == [
+        "conn", "item", "proc", "started",
+    ]

@@ -79,6 +79,29 @@ def _stall_below_attempt(payload, attempt):
     return value
 
 
+def _report_then_die(payload, attempt):
+    # payload = (value, run log, lethal). A lethal cell returns its
+    # value and kills its worker ~50 ms later; the others outlast that.
+    value, log, lethal = payload
+    with open(log, "a") as sink:
+        sink.write(f"{value}\n")
+    if lethal:
+        threading.Timer(0.05, os._exit, (137,)).start()
+    else:
+        time.sleep(0.3)
+    return value
+
+
+def _unpicklable(payload, attempt):
+    return threading.Lock()
+
+
+def _sleep_echo(payload, attempt):
+    value, delay_s = payload
+    time.sleep(delay_s)
+    return value
+
+
 def drain(supervisor, items):
     done, quarantined = {}, []
     for tag, body in supervisor.run(items):
@@ -217,6 +240,67 @@ class TestSupervisor:
         try:
             with pytest.raises(ValueError, match="unique"):
                 list(sup.run([("k", "a", 1), ("k", "b", 2)]))
+        finally:
+            sup.close()
+
+    def test_death_after_report_charges_only_the_cell_in_flight(self, tmp_path):
+        log = tmp_path / "runs.log"
+        sup = SweepSupervisor(1, _report_then_die, FAST)
+        try:
+            items = [
+                ("a", "reports-then-dies", ("A", str(log), True)),
+                ("b", "outlives-the-timer", ("B", str(log), False)),
+            ]
+            events = list(sup.run(items))
+        finally:
+            sup.close()
+        assert events == [("done", "A"), ("done", "B")]
+        runs = log.read_text().split()
+        # A was reported before its worker died: it ran once and was
+        # never charged. Only B can have been in flight at the death.
+        assert runs.count("A") == 1
+        assert runs.count("B") in (1, 2)
+        assert sup.stats["worker_deaths"] == 1
+        assert sup.stats["requeues"] == runs.count("B") - 1
+        assert sup.stats["quarantined"] == 0
+
+    def test_unpicklable_result_is_a_cell_error(self):
+        policy = CellPolicy(max_retries=2, retry_backoff_s=0.0)
+        sup = SweepSupervisor(1, _unpicklable, policy)
+        try:
+            events = list(sup.run([("k0", "unpicklable", None)]))
+        finally:
+            sup.close()
+        ((tag, cell),) = events
+        assert tag == "quarantined"
+        assert [f.attempt for f in cell.failures] == [1, 2, 3]
+        assert all(f.kind == KIND_ERROR for f in cell.failures)
+        assert "pickle" in cell.failures[0].detail
+        # The worker reported the failure instead of dying of it.
+        assert len({f.worker_pid for f in cell.failures}) == 1
+        assert sup.stats["worker_deaths"] == 0
+        assert sup.stats["retries"] == 2
+
+    def test_run_after_an_abandoned_run_sees_only_its_own_cells(self):
+        sup = SweepSupervisor(2, _sleep_echo, FAST)
+        try:
+            # The consumer takes one event and walks away (an on_result
+            # exception, a caught Ctrl-C): a worker is still on a cell.
+            abandoned = sup.run(
+                [(f"k{i}", f"k{i}", (f"old-{i}", 0.2)) for i in range(4)]
+            )
+            assert next(abandoned)[0] == "done"
+            busy = set(sup.inflight_pids())
+            abandoned.close()
+            assert busy
+            # Same keys, new values: a late report from the abandoned
+            # run would be taken for one of these cells.
+            items = [(f"k{i}", f"k{i}", (f"new-{i}", 0.05)) for i in range(4)]
+            events = list(sup.run(items))
+            assert sorted(events) == [("done", f"new-{i}") for i in range(4)]
+            assert len(sup.worker_pids()) == 2
+            assert busy.isdisjoint(sup.worker_pids())
+            assert sup.stats["worker_deaths"] == 0
         finally:
             sup.close()
 
@@ -521,6 +605,7 @@ class TestCliRecovery:
         finally:
             proc.kill()
             proc.wait(timeout=60)
+            proc.stderr.close()
         # The orphaned sweep workers notice the dead parent and exit.
         assert workers
         deadline = time.monotonic() + 10.0
